@@ -43,6 +43,7 @@
 
 #include "api/registry.hpp"
 #include "io/json.hpp"
+#include "obs/metrics.hpp"
 #include "service/service.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -179,9 +180,9 @@ int main_impl(int argc, char** argv) {
                                      baseline);
     cached.wall_ms = now_ms() - t0;
     cached.requests_per_sec = requests / (cached.wall_ms / 1000.0);
-    const ServiceStats cache_stats = cache_service.stats();
-    cached_hits = cache_stats.cache_hits;
-    cached_misses = cache_stats.cache_misses;
+    const obs::MetricsSnapshot snap = cache_service.metrics_snapshot();
+    cached_hits = snap.counter_value(obs::metric::kServiceCacheHits);
+    cached_misses = snap.counter_value(obs::metric::kServiceCacheMisses);
   }
 
   // ------------------------------------------------- tenant overload burst ---
@@ -212,8 +213,8 @@ int main_impl(int argc, char** argv) {
     std::vector<std::future<SolveResult>> futures;
     futures.reserve(overload_requests);
     for (int r = 0; r < overload_requests; ++r)
-      futures.push_back(overload_service.submit(tenants[r % tenants.size()],
-                                                overload_handle, burst_spec));
+      futures.push_back(overload_service.submit(
+          overload_handle, burst_spec, tenants[r % tenants.size()]));
     for (auto& future : futures) {
       const SolveResult result = future.get();
       switch (result.status) {
@@ -232,7 +233,8 @@ int main_impl(int argc, char** argv) {
           break;
       }
     }
-    shed_matches_metric = overload_service.stats().shed == overload_shed;
+    shed_matches_metric = overload_service.metrics_snapshot().counter_value(
+                              obs::metric::kServiceShed) == overload_shed;
     overload_terminal = overload_terminal &&
                         overload_ok + overload_shed + overload_other ==
                             static_cast<std::uint64_t>(overload_requests);

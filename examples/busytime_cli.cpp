@@ -214,6 +214,57 @@ void warn_ignored(const SolveResult& result) {
   std::cerr << "\n";
 }
 
+/// The single-result tail "solve" and "client" share: the report on stdout
+/// (a busytime-result-v1 document with --json, carrying the recorded span
+/// tree under "trace" when there is one), the --json-out / --out / --gantt
+/// artifacts, and the exit code — 1 unless the request completed with a
+/// valid schedule.  `origin` follows the workload summary in the text
+/// report.
+int report_result(const Flags& flags, const EventTrace& trace,
+                  const SolveResult& result, const std::string& origin,
+                  const obs::TraceContext* spans) {
+  warn_ignored(result);
+  if (flags.get_bool("json")) {
+    if (spans != nullptr) {
+      json::Value root = result_to_json_value(result);
+      root.set("trace", spans->to_json());
+      std::cout << root.dump(2) << "\n";
+    } else {
+      std::cout << result_to_json(result);
+    }
+  } else {
+    std::cout << trace_summary(trace) << origin << "\n"
+              << result.summary() << "\n";
+    if (spans != nullptr) std::cout << "\n" << spans->to_text();
+  }
+  if (flags.has("json-out")) save_result_json(flags.get("json-out", ""), result);
+  if (flags.has("out")) save_schedule(flags.get("out", ""), result.schedule);
+  if (flags.get_bool("gantt"))
+    std::cout << render_gantt(trace.residual(), result.schedule);
+  if (result.status != SolveStatus::kOk) {
+    std::cerr << "error: request did not complete: " << to_string(result.status)
+              << "\n";
+    return 1;
+  }
+  if (!result.valid) {
+    std::cerr << "error: solver produced an invalid schedule\n";
+    return 1;
+  }
+  return 0;
+}
+
+/// --metrics-out=FILE, shared by both serve modes: saves the final
+/// busytime-metrics-v1 snapshot.
+void write_metrics_out(const Flags& flags,
+                       const obs::MetricsSnapshot& snapshot) {
+  if (!flags.has("metrics-out")) return;
+  const std::string path = flags.get("metrics-out", "");
+  std::ofstream metrics_file(path);
+  if (!metrics_file)
+    throw std::runtime_error("cannot write metrics file: " + path);
+  metrics_file << snapshot.to_json().dump(2) << "\n";
+}
+
 int cmd_list_solvers(const Flags& flags) {
   const SolverRegistry& registry = SolverRegistry::instance();
   if (flags.get_bool("json")) {
@@ -310,11 +361,7 @@ int cmd_solve_all(const EventTrace& trace, const Flags& flags,
 
   std::vector<SolveResult> solved(runnable.size());
   exec::parallel_for(/*threads=*/0, runnable.size(), [&](std::size_t i) {
-    // Non-online solvers take the residual already computed above instead
-    // of letting run_solver(trace, ...) rebuild it once per solver.
-    solved[i] = runnable[i]->kind == SolverKind::kOnline
-                    ? run_solver(trace, specs[i])
-                    : run_solver(residual, specs[i]);
+    solved[i] = run_solver(trace, specs[i]);
   });
 
   for (std::size_t i = 0; i < runnable.size(); ++i) {
@@ -377,34 +424,7 @@ int cmd_solve(const Flags& flags) {
     spec.trace = spans;
   }
 
-  const SolveResult result = run_solver(trace, spec);
-  warn_ignored(result);
-  if (flags.get_bool("json")) {
-    if (spans != nullptr) {
-      json::Value root = result_to_json_value(result);
-      root.set("trace", spans->to_json());
-      std::cout << root.dump(2) << "\n";
-    } else {
-      std::cout << result_to_json(result);
-    }
-  } else {
-    std::cout << trace_summary(trace) << "\n" << result.summary() << "\n";
-    if (spans != nullptr) std::cout << "\n" << spans->to_text();
-  }
-  if (flags.has("json-out")) save_result_json(flags.get("json-out", ""), result);
-  if (flags.has("out")) save_schedule(flags.get("out", ""), result.schedule);
-  if (flags.get_bool("gantt"))
-    std::cout << render_gantt(trace.residual(), result.schedule);
-  if (result.status != SolveStatus::kOk) {
-    std::cerr << "error: request did not complete: " << to_string(result.status)
-              << "\n";
-    return 1;
-  }
-  if (!result.valid) {
-    std::cerr << "error: solver produced an invalid schedule\n";
-    return 1;
-  }
-  return 0;
+  return report_result(flags, trace, run_solver(trace, spec), "", spans.get());
 }
 
 /// Parses a specs file for serve mode: one solver spec per line, blank
@@ -486,13 +506,7 @@ int cmd_serve_listen(const Flags& flags) {
   server.run();
 
   const obs::MetricsSnapshot snapshot = service.metrics_snapshot();
-  if (flags.has("metrics-out")) {
-    const std::string path = flags.get("metrics-out", "");
-    std::ofstream metrics_file(path);
-    if (!metrics_file)
-      throw std::runtime_error("cannot write metrics file: " + path);
-    metrics_file << snapshot.to_json().dump(2) << "\n";
-  }
+  write_metrics_out(flags, snapshot);
   std::cout << "server drained: connections="
             << snapshot.counter_value(obs::metric::kNetConnections)
             << " frames_in=" << snapshot.counter_value(obs::metric::kNetFramesIn)
@@ -559,29 +573,9 @@ int cmd_client(const Flags& flags) {
   const net::RemoteHandle handle = trace.has_cancels()
                                        ? client.load_trace(trace)
                                        : client.load(trace.base());
-  const SolveResult result = client.solve(handle, spec);
-  warn_ignored(result);
-
-  if (flags.get_bool("json")) {
-    std::cout << result_to_json(result);
-  } else {
-    std::cout << trace_summary(trace) << "  via " << host << ":" << port << "\n"
-              << result.summary() << "\n";
-  }
-  if (flags.has("json-out")) save_result_json(flags.get("json-out", ""), result);
-  if (flags.has("out")) save_schedule(flags.get("out", ""), result.schedule);
-  if (flags.get_bool("gantt"))
-    std::cout << render_gantt(trace.residual(), result.schedule);
-  if (result.status != SolveStatus::kOk) {
-    std::cerr << "error: request did not complete: " << to_string(result.status)
-              << "\n";
-    return 1;
-  }
-  if (!result.valid) {
-    std::cerr << "error: solver produced an invalid schedule\n";
-    return 1;
-  }
-  return 0;
+  const std::string origin = "  via " + host + ":" + std::to_string(port);
+  return report_result(flags, trace, client.solve(handle, spec), origin,
+                       nullptr);
 }
 
 int cmd_serve(const Flags& flags) {
@@ -617,14 +611,11 @@ int cmd_serve(const Flags& flags) {
   const std::int64_t stats_every = flags.get_int("stats-every", 0);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::future<SolveResult>> futures;
-  if (tenants.empty()) {
-    futures = service.submit_all(handle, specs);
-  } else {
-    futures.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      futures.push_back(
-          service.submit(tenants[i % tenants.size()], handle, specs[i]));
-  }
+  futures.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    futures.push_back(service.submit(
+        handle, specs[i],
+        tenants.empty() ? nullptr : tenants[i % tenants.size()]));
   std::vector<SolveResult> results;
   results.reserve(futures.size());
   for (auto& future : futures) {
@@ -657,17 +648,14 @@ int cmd_serve(const Flags& flags) {
     out.push_back(result_to_json_value(result));
   }
 
-  const ServiceStats stats = service.stats();
   // The full registry snapshot (counters, latency histograms, pool
-  // utilization gauges) taken once, after the batch drained.
+  // utilization gauges) taken once, after the batch drained; the service
+  // summary below reads its counters.
   const obs::MetricsSnapshot snapshot = service.metrics_snapshot();
-  if (flags.has("metrics-out")) {
-    const std::string path = flags.get("metrics-out", "");
-    std::ofstream metrics_file(path);
-    if (!metrics_file)
-      throw std::runtime_error("cannot write metrics file: " + path);
-    metrics_file << snapshot.to_json().dump(2) << "\n";
-  }
+  write_metrics_out(flags, snapshot);
+  const auto count = [&snapshot](const char* name) {
+    return static_cast<std::int64_t>(snapshot.counter_value(name));
+  };
   if (flags.get_bool("json")) {
     json::Value root = json::Value::object();
     root.set("instance", trace_summary(trace));
@@ -676,15 +664,15 @@ int cmd_serve(const Flags& flags) {
     root.set("workers", service.workers());
     root.set("batch_ms", batch_ms);
     json::Value svc = json::Value::object();
-    svc.set("requests", static_cast<std::int64_t>(stats.requests));
-    svc.set("ok", static_cast<std::int64_t>(stats.ok));
-    svc.set("deadline_expired", static_cast<std::int64_t>(stats.deadline_expired));
-    svc.set("cancelled", static_cast<std::int64_t>(stats.cancelled));
-    svc.set("shed", static_cast<std::int64_t>(stats.shed));
-    svc.set("cache_hits", static_cast<std::int64_t>(stats.cache_hits));
-    svc.set("cache_misses", static_cast<std::int64_t>(stats.cache_misses));
-    svc.set("view_builds", static_cast<std::int64_t>(handle->view_builds()));
-    svc.set("view_hits", static_cast<std::int64_t>(handle->view_hits()));
+    svc.set("requests", count(obs::metric::kServiceRequests));
+    svc.set("ok", count(obs::metric::kServiceOk));
+    svc.set("deadline_expired", count(obs::metric::kServiceDeadlineExpired));
+    svc.set("cancelled", count(obs::metric::kServiceCancelled));
+    svc.set("shed", count(obs::metric::kServiceShed));
+    svc.set("cache_hits", count(obs::metric::kServiceCacheHits));
+    svc.set("cache_misses", count(obs::metric::kServiceCacheMisses));
+    svc.set("view_builds", count(obs::metric::kServiceViewBuilds));
+    svc.set("view_hits", count(obs::metric::kServiceViewHits));
     root.set("service", std::move(svc));
     root.set("metrics", snapshot.to_json());
     root.set("results", std::move(out));
@@ -693,11 +681,14 @@ int cmd_serve(const Flags& flags) {
     std::cout << trace_summary(trace) << "\n";
     table.print(std::cout);
     std::cout << results.size() << " requests on " << service.workers()
-              << " workers in " << Table::fmt(batch_ms) << " ms  (ok=" << stats.ok
-              << " deadline=" << stats.deadline_expired
-              << " shed=" << stats.shed << " cache_hits=" << stats.cache_hits
-              << " view_builds=" << handle->view_builds()
-              << " view_hits=" << handle->view_hits() << " utilization="
+              << " workers in " << Table::fmt(batch_ms)
+              << " ms  (ok=" << count(obs::metric::kServiceOk)
+              << " deadline=" << count(obs::metric::kServiceDeadlineExpired)
+              << " shed=" << count(obs::metric::kServiceShed)
+              << " cache_hits=" << count(obs::metric::kServiceCacheHits)
+              << " view_builds=" << count(obs::metric::kServiceViewBuilds)
+              << " view_hits=" << count(obs::metric::kServiceViewHits)
+              << " utilization="
               << Table::fmt(service.pool_stats().utilization()) << ")\n";
   }
   if (failed) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "obs/metrics.hpp"
 #include "service/service.hpp"
 #include "util/flags.hpp"
 #include "workload/cancellable.hpp"
@@ -36,8 +37,9 @@ void serve_portfolio(Service& service, const InstanceHandle& handle,
   }
   specs.push_back(SolverSpec::parse("auto"));
 
-  std::vector<std::future<SolveResult>> futures =
-      service.submit_all(handle, specs);
+  std::vector<std::future<SolveResult>> futures;
+  for (const SolverSpec& spec : specs)
+    futures.push_back(service.submit(handle, spec));
   for (std::size_t i = 0; i + 1 < futures.size(); ++i) {
     const SolveResult r = futures[i].get();
     std::cout << r.summary() << "\n    " << r.stats.summary() << "\n";
@@ -88,8 +90,10 @@ int main(int argc, char** argv) {
   const InstanceHandle cancellable_handle = service.load(cancellable);
   serve_portfolio(service, cancellable_handle, epoch_length);
 
-  const ServiceStats stats = service.stats();
-  std::cout << "\nservice: " << stats.requests << " requests, " << stats.ok
-            << " ok, " << stats.handles_loaded << " handles loaded\n";
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  std::cout << "\nservice: " << snap.counter_value(obs::metric::kServiceRequests)
+            << " requests, " << snap.counter_value(obs::metric::kServiceOk)
+            << " ok, " << snap.counter_value(obs::metric::kServiceHandlesLoaded)
+            << " handles loaded\n";
   return 0;
 }

@@ -12,28 +12,6 @@
 
 namespace busytime {
 
-std::string to_string(MinBusyAlgo algo) {
-  switch (algo) {
-    case MinBusyAlgo::kOneSided: return "one_sided";
-    case MinBusyAlgo::kProperCliqueDp: return "proper_clique_dp";
-    case MinBusyAlgo::kCliqueMatching: return "clique_matching";
-    case MinBusyAlgo::kCliqueSetCover: return "clique_setcover";
-    case MinBusyAlgo::kBestCut: return "best_cut";
-    case MinBusyAlgo::kFirstFit: return "first_fit";
-  }
-  return "unknown";
-}
-
-std::optional<MinBusyAlgo> minbusy_algo_from_name(const std::string& name) {
-  if (name == "one_sided") return MinBusyAlgo::kOneSided;
-  if (name == "proper_clique_dp") return MinBusyAlgo::kProperCliqueDp;
-  if (name == "clique_matching") return MinBusyAlgo::kCliqueMatching;
-  if (name == "clique_setcover") return MinBusyAlgo::kCliqueSetCover;
-  if (name == "best_cut") return MinBusyAlgo::kBestCut;
-  if (name == "first_fit") return MinBusyAlgo::kFirstFit;
-  return std::nullopt;
-}
-
 DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
                                   const RequestContext* context) {
   // Resolve the registry before fanning out: registration is not expected
@@ -96,15 +74,10 @@ DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
                                      static_cast<std::int64_t>(inst.size()));
     result.schedule = stitch_component_schedules(inst, view.components(), parts);
   }
-  result.names.reserve(count);
+  result.names = std::move(names);
   result.component_jobs.reserve(count);
-  result.algos.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    result.names.push_back(std::move(names[i]));
+  for (std::size_t i = 0; i < count; ++i)
     result.component_jobs.push_back(view.component_ids(i).size());
-    result.algos.push_back(
-        minbusy_algo_from_name(result.names.back()).value_or(MinBusyAlgo::kFirstFit));
-  }
   return result;
 }
 
@@ -125,14 +98,6 @@ DispatchResult solve_minbusy_auto(const Instance& inst, int threads,
     spans->close(build_span);
   }
   return solve_minbusy_auto(view, threads, context);
-}
-
-DispatchResult solve_minbusy_auto(const Instance& inst, int threads) {
-  return solve_minbusy_auto(inst, threads, nullptr);
-}
-
-DispatchResult solve_minbusy_auto(const Instance& inst) {
-  return solve_minbusy_auto(inst, 0, nullptr);
 }
 
 }  // namespace busytime

@@ -17,8 +17,8 @@
 // automatically.
 #pragma once
 
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
@@ -28,33 +28,12 @@ namespace busytime {
 class InstanceView;
 struct RequestContext;
 
-/// Which built-in algorithm the dispatcher picked (legacy reporting enum;
-/// prefer DispatchResult::names, which also covers application-registered
-/// solvers).
-enum class MinBusyAlgo {
-  kOneSided,
-  kProperCliqueDp,
-  kCliqueMatching,
-  kCliqueSetCover,
-  kBestCut,
-  kFirstFit,
-};
-
-std::string to_string(MinBusyAlgo algo);
-
-/// Maps a registry solver name back to the legacy enum; nullopt for solvers
-/// that are not one of the six built-ins.
-std::optional<MinBusyAlgo> minbusy_algo_from_name(const std::string& name);
-
 struct DispatchResult {
   Schedule schedule;
   /// Registry name of the solver used per component, in component order.
   std::vector<std::string> names;
   /// Jobs per component, aligned with `names`.
   std::vector<std::size_t> component_jobs;
-  /// Legacy enum view of `names`; entries for solvers outside the built-in
-  /// six are reported as kFirstFit (deprecated — use `names`).
-  std::vector<MinBusyAlgo> algos;
 };
 
 /// Solves MinBusy with the best applicable registered solver per component.
@@ -62,25 +41,19 @@ struct DispatchResult {
 /// predicate) and solved concurrently on up to `threads` workers (0 = the
 /// exec process default, 1 = exact sequential path); schedules, names, and
 /// traces are stitched deterministically in component order, so the result
-/// is identical at every thread count.
-DispatchResult solve_minbusy_auto(const Instance& inst, int threads);
-
-/// Overload using the exec process default thread count.
-DispatchResult solve_minbusy_auto(const Instance& inst);
+/// is identical at every thread count.  Builds the InstanceView inline;
+/// `context` (may be null) carries the per-request controls described below.
+DispatchResult solve_minbusy_auto(const Instance& inst, int threads = 0,
+                                  const RequestContext* context = nullptr);
 
 /// Dispatch over a prebuilt InstanceView (the Service facade's cached
 /// decomposition) with optional per-request controls: `context` (may be
 /// null) is checked before each component is solved — the component-boundary
 /// granularity of the deadline/cancellation contract — throwing
 /// DeadlineExceededError / RequestCancelledError out of the dispatch.
-/// Results are bit-identical to the Instance overloads for every view of
+/// Results are bit-identical to the Instance overload for every view of
 /// the same instance, at every thread count.
 DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
-                                  const RequestContext* context);
-
-/// Context-aware overload that builds its own view (run_solver's path when
-/// no cached view applies but a deadline/cancel token is set).
-DispatchResult solve_minbusy_auto(const Instance& inst, int threads,
                                   const RequestContext* context);
 
 }  // namespace busytime

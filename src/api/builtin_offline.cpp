@@ -155,20 +155,6 @@ void register_offline_solvers(SolverRegistry& registry) {
       [](const Instance&, const InstanceClass&) { return true; });
 
   registry.add({
-      "first_fit_reference",
-      SolverKind::kOffline,
-      OptimalityClass::kApprox,
-      4.0,
-      "Quadratic reference FirstFit (pre-optimization baseline, ablation)",
-      [](const Instance&) { return true; },
-      /*needs_budget=*/false,
-      /*dispatch_priority=*/-1,
-      [](const Instance& inst, const SolverSpec&) {
-        return whole_instance(solve_first_fit_reference(inst), inst, "first_fit_reference");
-      },
-  });
-
-  registry.add({
       "local_search",
       SolverKind::kOffline,
       OptimalityClass::kHeuristic,

@@ -115,24 +115,6 @@ void finalize_result(SolveResult& result, const Instance& inst) {
   result.valid = is_valid(inst, result.schedule);
 }
 
-/// Installs the runtime RequestContext when per-request controls are set and
-/// no Service already installed one (the free-function path with
-/// options.deadline_ms, a cancel token, or a requested trace: the deadline
-/// clock starts here).  A trace installed this way has no "request" root —
-/// its "solve" span is the root of the tree.
-void ensure_context(SolverSpec& spec) {
-  if (spec.context) return;
-  if (spec.options.deadline_ms <= 0 && !spec.cancel.cancellable() &&
-      spec.trace == nullptr)
-    return;
-  auto context = std::make_shared<RequestContext>();
-  context->set_deadline(std::chrono::steady_clock::now(),
-                        spec.options.deadline_ms);
-  context->cancel = spec.cancel;
-  context->trace = spec.trace;
-  spec.context = std::move(context);
-}
-
 /// Opens the "solve" span covering the run path's timed region and anchors
 /// deeper layers (dispatch, replay) under it; restores the anchor on close.
 class SolveSpan {
@@ -223,85 +205,11 @@ SolveResult control_tripped(const SolverInfo& info, SolveStatus status,
 
 }  // namespace
 
-SolveResult detail::solve_request(const Instance& inst,
-                                  const SolverSpec& request) {
-  const SolverInfo& info = SolverRegistry::instance().at(request.name);
-  SolverSpec spec = request;
-  ensure_context(spec);
-
-  // Capacity override rebuilds the instance; everything downstream sees the
-  // requested g.
-  Instance overridden;
-  const Instance* target = &inst;
-  if (spec.options.g > 0 && spec.options.g != inst.g()) {
-    overridden = Instance(inst.jobs(), spec.options.g);
-    target = &overridden;
-  }
-
-  if (info.needs_budget && spec.options.budget < 0)
-    throw SpecError("solver '" + info.name + "' needs option budget=T");
-  if (!info.applicable(*target))
-    throw NotApplicableError("solver '" + info.name +
-                             "' is not applicable to this instance (" +
-                             target->summary() + ")");
-
-  obs::metrics_of(spec.context.get())
-      .counter(obs::metric::kSolveRequests)
-      .inc();
-  const SolveSpan solve_span(spec.context.get());
-  const auto t0 = std::chrono::steady_clock::now();
-  SolveResult result;
-  try {
-    // Entry checkpoint (a whole-instance solver is one "component"); the
-    // per-component dispatcher re-checks between components.
-    if (spec.context) spec.context->check();
-    result = info.run(*target, spec);
-    // Local-search post-pass: only for solver families whose validity notion
-    // is the base capacity count that improve_schedule preserves (extension
-    // solvers may obey stricter rules, e.g. per-job demands).
-    if (spec.options.improve &&
-        (info.kind == SolverKind::kOffline || info.kind == SolverKind::kExact)) {
-      result.schedule.ensure_size(target->size());
-      const LocalSearchStats ls = improve_schedule(*target, result.schedule);
-      if (ls.relocations + ls.swaps > 0)
-        result.trace.push_back({target->size(), "local_search"});
-    }
-  } catch (const DeadlineExceededError&) {
-    result = control_tripped(info, SolveStatus::kDeadline, target->size());
-  } catch (const RequestCancelledError&) {
-    result = control_tripped(info, SolveStatus::kCancelled, target->size());
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  result.solver = info.name;
-  result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  result.ignored_options = detail::ignored_options(info, spec.options);
-  if (result.status != SolveStatus::kOk) return result;
-  {
-    const obs::ScopedSpan finalize_span(solve_span.trace(), "finalize",
-                                        solve_span.id());
-    finalize_result(result, *target);
-  }
-  // Offline solvers have no streaming pool; give their counters the offline
-  // meaning so every SolveResult reports through the same fields.
-  if (result.stats.jobs_assigned == 0 && result.throughput > 0) {
-    result.stats.jobs_assigned = result.throughput;
-    result.stats.machines_opened = result.schedule.machine_count();
-    result.stats.open_machines = result.stats.machines_opened;
-    result.stats.peak_open_machines = result.stats.machines_opened;
-    result.stats.online_cost = result.cost;
-  }
-  return result;
-}
-
 SolveResult detail::solve_request(const EventTrace& trace,
-                                  const SolverSpec& request) {
-  if (!trace.has_cancels()) return solve_request(trace.base(), request);
-  const SolverInfo& info = SolverRegistry::instance().at(request.name);
-  SolverSpec spec = request;
-  ensure_context(spec);
+                                  const SolverSpec& spec) {
+  const SolverInfo& info = SolverRegistry::instance().at(spec.name);
 
-  // Capacity override rebuilds the trace; everything downstream sees the
+  // Capacity override rebuilds the workload; everything downstream sees the
   // requested g.
   EventTrace overridden;
   const EventTrace* target = &trace;
@@ -310,12 +218,23 @@ SolveResult detail::solve_request(const EventTrace& trace,
                             trace.cancels());
     target = &overridden;
   }
+  // Everything is measured against the residual instance — the workload
+  // that actually ran (the base instance itself when nothing was
+  // retracted).  Online policies replay the retractions as events (their
+  // incrementally maintained online_cost equals the recomputed cost:
+  // refunds are exact); every other solver solves the residual directly.
+  const Instance& inst = target->residual();  // memoized on the trace
+  const bool replay = target->has_cancels() && info.kind == SolverKind::kOnline;
 
-  const Instance& residual = target->residual();  // memoized on the trace
-  if (info.kind != SolverKind::kOnline) return solve_request(residual, spec);
-  if (!info.run_events)
+  if (replay && !info.run_events)
     throw NotApplicableError("online solver '" + info.name +
                              "' cannot replay cancellation events");
+  if (info.needs_budget && spec.options.budget < 0)
+    throw SpecError("solver '" + info.name + "' needs option budget=T");
+  if (!info.applicable(inst))
+    throw NotApplicableError("solver '" + info.name +
+                             "' is not applicable to this instance (" +
+                             inst.summary() + ")");
 
   obs::metrics_of(spec.context.get())
       .counter(obs::metric::kSolveRequests)
@@ -324,14 +243,25 @@ SolveResult detail::solve_request(const EventTrace& trace,
   const auto t0 = std::chrono::steady_clock::now();
   SolveResult result;
   try {
-    // Event replays check controls once, at the start: shards replay whole
-    // components anyway, so this is the same component-boundary contract.
+    // Entry checkpoint (a whole-instance solver or an event replay is one
+    // "component"); the per-component dispatcher re-checks between
+    // components, and sharded replays replay whole components anyway.
     if (spec.context) spec.context->check();
-    result = info.run_events(*target, spec);
+    result = replay ? info.run_events(*target, spec) : info.run(inst, spec);
+    // Local-search post-pass: only for solver families whose validity notion
+    // is the base capacity count that improve_schedule preserves (extension
+    // solvers may obey stricter rules, e.g. per-job demands).
+    if (spec.options.improve &&
+        (info.kind == SolverKind::kOffline || info.kind == SolverKind::kExact)) {
+      result.schedule.ensure_size(inst.size());
+      const LocalSearchStats ls = improve_schedule(inst, result.schedule);
+      if (ls.relocations + ls.swaps > 0)
+        result.trace.push_back({inst.size(), "local_search"});
+    }
   } catch (const DeadlineExceededError&) {
-    result = control_tripped(info, SolveStatus::kDeadline, target->size());
+    result = control_tripped(info, SolveStatus::kDeadline, inst.size());
   } catch (const RequestCancelledError&) {
-    result = control_tripped(info, SolveStatus::kCancelled, target->size());
+    result = control_tripped(info, SolveStatus::kCancelled, inst.size());
   }
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -339,13 +269,20 @@ SolveResult detail::solve_request(const EventTrace& trace,
   result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   result.ignored_options = detail::ignored_options(info, spec.options);
   if (result.status != SolveStatus::kOk) return result;
-  // Everything downstream is measured against the residual instance — the
-  // workload that actually ran.  The engine's incrementally maintained
-  // online_cost equals the recomputed cost (refunds are exact).
   {
     const obs::ScopedSpan finalize_span(solve_span.trace(), "finalize",
                                         solve_span.id());
-    finalize_result(result, residual);
+    finalize_result(result, inst);
+  }
+  // Offline solvers have no streaming pool; give their counters the offline
+  // meaning so every SolveResult reports through the same fields.  (A replay
+  // counts its own placements, so this never touches an online result.)
+  if (result.stats.jobs_assigned == 0 && result.throughput > 0) {
+    result.stats.jobs_assigned = result.throughput;
+    result.stats.machines_opened = result.schedule.machine_count();
+    result.stats.open_machines = result.stats.machines_opened;
+    result.stats.peak_open_machines = result.stats.machines_opened;
+    result.stats.online_cost = result.cost;
   }
   return result;
 }

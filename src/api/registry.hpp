@@ -27,13 +27,9 @@
 #include "api/solver_spec.hpp"
 #include "core/classify.hpp"
 #include "core/instance.hpp"
+#include "online/event.hpp"
 
 namespace busytime {
-
-// The registry only names the event-trace type (run_events hook,
-// run_solver overload); consumers that replay traces include
-// online/event.hpp themselves.
-class EventTrace;
 
 enum class SolverKind {
   kOffline,     ///< full MinBusy schedules (Section 3 + heuristics)
@@ -84,7 +80,7 @@ struct SolverInfo {
       applicable_classified = nullptr;
   /// Optional event-trace runner for online solvers: replays arrivals
   /// interleaved with cancellation/preemption events.  Fills schedule,
-  /// stats, and trace like `run`; run_solver(EventTrace) derives the
+  /// stats, and trace like `run`; run_solver derives the
   /// residual-measured cost, bounds, and validity uniformly.  Online
   /// solvers without this hook are NotApplicable to traces with
   /// retractions (the replay would silently drop them).
@@ -135,30 +131,31 @@ class SolverRegistry {
   std::vector<const SolverInfo*> dispatchable_;  // priority-descending
 };
 
-/// Resolves `spec` against the registry, checks applicability and required
-/// options, runs the solver, and fills the uniform SolveResult fields
-/// (cost, throughput, bounds, ratio, validity, wall time, default stats).
-/// Throws std::invalid_argument for unknown solvers, SpecError for missing
-/// required options, and NotApplicableError when the predicate rejects.
+/// A solver's applicability predicate rejected the instance, or an online
+/// solver cannot replay the trace's retraction events.
 class NotApplicableError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };
 
+/// Resolves `spec` against the registry, checks applicability and required
+/// options, runs the solver on `workload`, and fills the uniform SolveResult
+/// fields (cost, throughput, bounds, ratio, validity, wall time, default
+/// stats).  `workload` is an event trace (arrivals + cancellations/
+/// preemptions) or a plain Instance, which converts to a trace without
+/// retractions.  Online solvers replay the merged event stream — their
+/// SolveResult counts cancels, refunds, and a cost measured against the
+/// residual instance; every other solver kind solves the residual instance
+/// directly (the honest offline comparison: the workload that actually
+/// ran).  Throws std::invalid_argument for unknown solvers, SpecError for
+/// missing required options, and NotApplicableError when the predicate
+/// rejects or an online solver has no event replay (custom registrations
+/// outside the built-in policies).
+///
 /// A thin shim over the process-default busytime::Service (see
 /// service/service.hpp), which owns the thread pool and per-request
 /// bookkeeping; defined in service/service.cpp.
-SolveResult run_solver(const Instance& inst, const SolverSpec& spec);
-
-/// Runs a solver on an event trace (arrivals + cancellations/preemptions).
-/// Online solvers replay the merged event stream — their SolveResult counts
-/// cancels, refunds, and a cost measured against the residual instance;
-/// every other solver kind solves the residual instance directly (the
-/// honest offline comparison: the workload that actually ran).  Traces
-/// without retraction records behave exactly like run_solver(trace.base()).
-/// Throws NotApplicableError for an online solver the event replay does not
-/// know how to drive (custom registrations outside the built-in policies).
-SolveResult run_solver(const EventTrace& trace, const SolverSpec& spec);
+SolveResult run_solver(const EventTrace& workload, const SolverSpec& spec);
 
 namespace detail {
 // Non-default options the chosen solver never reads — the canonicalization
@@ -174,13 +171,13 @@ void register_throughput_solvers(SolverRegistry& registry);
 void register_online_solvers(SolverRegistry& registry);
 void register_extension_solvers(SolverRegistry& registry);
 
-// The context-aware solve cores behind run_solver and Service::submit:
-// resolve the spec, install the runtime RequestContext (deadline instant,
-// cancel token) when controls are set, run the solver with control
-// checkpoints at component boundaries, record ignored options, and fill
-// the uniform SolveResult fields.  Deadline/cancel trips surface as
-// SolveStatus, every other failure as the exceptions run_solver documents.
-SolveResult solve_request(const Instance& inst, const SolverSpec& spec);
+// The context-aware solve core behind run_solver and every Service request
+// path: resolve the spec, apply the g override, run the solver (or replay
+// the trace's events) with control checkpoints at component boundaries
+// under the RequestContext the Service installed, record ignored options,
+// and fill the uniform SolveResult fields.  Deadline/cancel trips surface
+// as SolveStatus, every other failure as the exceptions run_solver
+// documents.
 SolveResult solve_request(const EventTrace& trace, const SolverSpec& spec);
 }  // namespace detail
 

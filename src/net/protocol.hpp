@@ -75,42 +75,6 @@ enum class MsgType : std::uint8_t {
   kError = 63,
 };
 
-inline bool is_request(MsgType type) noexcept {
-  switch (type) {
-    case MsgType::kPing:
-    case MsgType::kLoadInstance:
-    case MsgType::kLoadTrace:
-    case MsgType::kSolve:
-    case MsgType::kListSolvers:
-    case MsgType::kReleaseHandle:
-    case MsgType::kShutdown:
-      return true;
-    default:
-      return false;
-  }
-}
-
-inline bool is_known(MsgType type) noexcept {
-  switch (type) {
-    case MsgType::kPing:
-    case MsgType::kLoadInstance:
-    case MsgType::kLoadTrace:
-    case MsgType::kSolve:
-    case MsgType::kListSolvers:
-    case MsgType::kReleaseHandle:
-    case MsgType::kShutdown:
-    case MsgType::kPong:
-    case MsgType::kHandle:
-    case MsgType::kResult:
-    case MsgType::kSolverList:
-    case MsgType::kReleased:
-    case MsgType::kShuttingDown:
-    case MsgType::kError:
-      return true;
-  }
-  return false;
-}
-
 inline std::string to_string(MsgType type) {
   switch (type) {
     case MsgType::kPing: return "ping";

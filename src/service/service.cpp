@@ -30,19 +30,11 @@ SolveResult make_shed_result(const std::string& solver, std::size_t jobs) {
   return result;
 }
 
-/// An already-terminal result as the future the submit overloads return.
-std::future<SolveResult> ready_future(SolveResult result) {
-  std::promise<SolveResult> promise;
-  promise.set_value(std::move(result));
-  return promise.get_future();
-}
-
 }  // namespace
 
-InstanceState::InstanceState(EventTrace trace, int view_threads,
+InstanceState::InstanceState(EventTrace trace,
                              std::shared_ptr<obs::MetricsRegistry> registry)
     : trace_(std::move(trace)),
-      view_threads_(view_threads),
       fingerprint_(util::fnv1a_64(event_trace_to_string(trace_))) {
   if (registry != nullptr) {
     builds_counter_ = registry->counter(obs::metric::kServiceViewBuilds);
@@ -52,8 +44,7 @@ InstanceState::InstanceState(EventTrace trace, int view_threads,
 }
 
 Service::Service(ServiceConfig config)
-    : config_(config),
-      workers_(exec::resolve_threads(config.workers)),
+    : workers_(exec::resolve_threads(config.workers)),
       registry_(std::make_shared<obs::MetricsRegistry>()) {
   handles_loaded_ = registry_->counter(obs::metric::kServiceHandlesLoaded);
   requests_ = registry_->counter(obs::metric::kServiceRequests);
@@ -70,22 +61,17 @@ Service::Service(ServiceConfig config)
   tenant_queue_depth_ = registry_->gauge(obs::metric::kServiceTenantQueueDepth);
   queue_wait_us_ = registry_->histogram(obs::metric::kServiceQueueWaitUs);
   request_us_ = registry_->histogram(obs::metric::kServiceRequestUs);
-  if (config_.cache_bytes > 0)
-    cache_ = std::make_unique<ResultCache>(config_.cache_bytes);
-  scheduler_.set_max_queue(config_.max_queue);
+  if (config.cache_bytes > 0)
+    cache_ = std::make_unique<ResultCache>(config.cache_bytes);
+  scheduler_.set_max_queue(config.max_queue);
   default_tenant_ = std::make_shared<TenantState>("default", /*weight=*/1,
                                                   /*max_queue=*/0);
   tenants_.emplace(default_tenant_->name(), default_tenant_);
 }
 
-InstanceHandle Service::load(Instance inst) {
-  return load(EventTrace(std::move(inst)));
-}
-
 InstanceHandle Service::load(EventTrace trace) {
   handles_loaded_.inc();
-  return std::make_shared<const InstanceState>(std::move(trace),
-                                               config_.view_threads, registry_);
+  return std::make_shared<const InstanceState>(std::move(trace), registry_);
 }
 
 SolveResult Service::record(SolveResult result) noexcept {
@@ -118,38 +104,23 @@ TenantHandle Service::tenant(const std::string& name, int weight,
   return it->second;
 }
 
-bool Service::cache_lookup(const InstanceHandle& handle, const SolverSpec& spec,
-                           ResultCache::Key* key, bool* cacheable,
-                           SolveResult* hit) {
-  *cacheable = false;
-  if (cache_ == nullptr) return false;
-  // Traced requests must run for real (the span tree is the product) and
-  // pre-cancelled requests must keep reporting kCancelled.
-  if (spec.trace != nullptr || spec.cancel.cancelled()) return false;
-  key->fingerprint = handle->fingerprint();
-  key->spec = spec.canonical_key();
-  *cacheable = true;
-  if (cache_->lookup(*key, hit)) {
-    cache_hits_.inc();
-    // Entries are shared across specs that differ only in ignored options;
-    // report the *hitting* spec's ignored keys, not the inserting one's.
-    if (const SolverInfo* info = SolverRegistry::instance().find(spec.name))
-      hit->ignored_options = detail::ignored_options(*info, spec.options);
-    return true;
-  }
-  return false;
+std::optional<ResultCache::Key> Service::cache_key(
+    const InstanceState& state, const SolverSpec& spec) const {
+  if (cache_ == nullptr || spec.trace != nullptr || spec.cancel.cancelled())
+    return std::nullopt;
+  ResultCache::Key key;
+  key.fingerprint = state.fingerprint();
+  key.spec = spec.canonical_key();
+  return key;
 }
 
-bool Service::cache_recheck(const ResultCache::Key& key,
-                            const SolverSpec& spec, SolveResult* hit) {
-  if (cache_->lookup(key, hit)) {
-    cache_hits_.inc();
-    if (const SolverInfo* info = SolverRegistry::instance().find(spec.name))
-      hit->ignored_options = detail::ignored_options(*info, spec.options);
-    return true;
-  }
-  cache_misses_.inc();
-  return false;
+bool Service::cache_find(const ResultCache::Key& key, const SolverSpec& spec,
+                         SolveResult* hit) {
+  if (!cache_->lookup(key, hit)) return false;
+  cache_hits_.inc();
+  if (const SolverInfo* info = SolverRegistry::instance().find(spec.name))
+    hit->ignored_options = detail::ignored_options(*info, spec.options);
+  return true;
 }
 
 void Service::cache_store(const ResultCache::Key& key,
@@ -196,19 +167,11 @@ void Service::pump() {
   }
 }
 
-template <typename Fn>
-SolveResult Service::count_failures(Fn&& fn) {
-  try {
-    return record(fn());
-  } catch (...) {
-    completed_.inc();
-    failed_.inc();
-    throw;
-  }
-}
-
-std::shared_ptr<RequestContext> Service::make_context(
-    const SolverSpec& spec, std::chrono::steady_clock::time_point start) {
+SolveResult Service::run_request(const EventTrace& trace,
+                                 const InstanceState* state, SolverSpec spec,
+                                 std::chrono::steady_clock::time_point start,
+                                 bool queued) {
+  const auto picked_up = std::chrono::steady_clock::now();
   auto context = std::make_shared<RequestContext>();
   context->set_deadline(start, spec.options.deadline_ms);
   context->cancel = spec.cancel;
@@ -222,41 +185,15 @@ std::shared_ptr<RequestContext> Service::make_context(
     // full request wall time.
     context->trace_root = spec.trace->open_at("request", 0, start);
   }
-  return context;
-}
-
-template <typename Fn>
-SolveResult Service::finish_request(const RequestContext& context,
-                                    std::chrono::steady_clock::time_point start,
-                                    Fn&& fn) {
-  const auto finish = [&] {
-    request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
-    if (context.trace != nullptr) context.trace->close(context.trace_root);
-  };
-  try {
-    SolveResult result = fn();
-    finish();
-    return result;
-  } catch (...) {
-    finish();
-    throw;
-  }
-}
-
-SolveResult Service::run_request(const InstanceHandle& handle, SolverSpec spec,
-                                 std::chrono::steady_clock::time_point start,
-                                 bool queued) {
-  const auto picked_up = std::chrono::steady_clock::now();
-  auto context = make_context(spec, start);
-  // The request closure keeps the handle alive, so the raw pointer the
-  // provider captures outlives every checkpoint that can call it.  The
-  // provider hands out the cached view only for the handle's own solve
-  // target (a g= override rebuilds the instance, and the mismatch must
-  // neither build nor count anything).
-  const InstanceState* state = handle.get();
-  context->view_provider = [state](const Instance& inst) -> const InstanceView* {
-    return &inst == &state->solve_target() ? &state->view() : nullptr;
-  };
+  // The request keeps the handle alive, so the raw pointer the provider
+  // captures outlives every checkpoint that can call it.  The provider
+  // hands out the cached view only for the handle's own solve target (a
+  // g= override rebuilds the instance, and the mismatch must neither build
+  // nor count anything).
+  if (state != nullptr)
+    context->view_provider = [state](const Instance& inst) -> const InstanceView* {
+      return &inst == &state->solve_target() ? &state->view() : nullptr;
+    };
   if (queued) {
     queue_wait_us_.record(elapsed_us(start, picked_up));
     if (context->trace != nullptr)
@@ -264,74 +201,46 @@ SolveResult Service::run_request(const InstanceHandle& handle, SolverSpec spec,
   }
   const RequestContext& ctx = *context;
   spec.context = std::move(context);
-  return finish_request(ctx, start, [&] {
-    return count_failures(
-        [&] { return detail::solve_request(handle->trace(), spec); });
-  });
-}
-
-std::future<SolveResult> Service::submit(InstanceHandle handle,
-                                         SolverSpec spec) {
-  return submit(default_tenant_, std::move(handle), std::move(spec));
-}
-
-std::future<SolveResult> Service::submit(const TenantHandle& tenant,
-                                         InstanceHandle handle,
-                                         SolverSpec spec) {
-  if (!tenant)
-    throw std::invalid_argument("Service::submit: null TenantHandle");
-  if (!handle)
-    throw std::invalid_argument("Service::submit: null InstanceHandle");
-  requests_.inc();
-  const auto start = std::chrono::steady_clock::now();
-
-  ResultCache::Key key;
-  bool cacheable = false;
-  SolveResult hit;
-  if (cache_lookup(handle, spec, &key, &cacheable, &hit)) {
+  // service.request_us and the root span close around the solve, success
+  // or throw.
+  const auto finish = [&] {
     request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
-    return ready_future(record(std::move(hit)));
+    if (ctx.trace != nullptr) ctx.trace->close(ctx.trace_root);
+  };
+  try {
+    SolveResult result = record(detail::solve_request(trace, spec));
+    finish();
+    return result;
+  } catch (...) {
+    completed_.inc();
+    failed_.inc();
+    finish();
+    throw;
   }
-
-  // Saved before the moves below: the shed path reports the requested
-  // solver against an instance-sized empty schedule.
-  const std::string solver_name = spec.name;
-  const std::size_t jobs = handle->jobs();
-  auto task = std::make_shared<std::packaged_task<SolveResult()>>(
-      [this, handle = std::move(handle), spec = std::move(spec), start,
-       key = std::move(key), cacheable] {
-        if (cacheable) {
-          SolveResult again;
-          if (cache_recheck(key, spec, &again)) {
-            const auto now = std::chrono::steady_clock::now();
-            queue_wait_us_.record(elapsed_us(start, now));
-            request_us_.record(elapsed_us(start, now));
-            return record(std::move(again));
-          }
-        }
-        SolveResult result = run_request(handle, spec, start, /*queued=*/true);
-        if (cacheable && result.status == SolveStatus::kOk)
-          cache_store(key, result);
-        return result;
-      });
-  std::future<SolveResult> future = task->get_future();
-  if (!enqueue(tenant, [task] { (*task)(); })) {
-    request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
-    return ready_future(record(make_shed_result(solver_name, jobs)));
-  }
-  return future;
 }
 
-void Service::submit(InstanceHandle handle, SolverSpec spec,
-                     SolveCallback done) {
-  submit(default_tenant_, std::move(handle), std::move(spec),
-         std::move(done));
+SolveResult Service::serve(const InstanceHandle& handle, const SolverSpec& spec,
+                           const std::optional<ResultCache::Key>& key,
+                           std::chrono::steady_clock::time_point start,
+                           bool queued) {
+  if (key) {
+    SolveResult hit;
+    if (cache_find(*key, spec, &hit)) {
+      const auto now = std::chrono::steady_clock::now();
+      if (queued) queue_wait_us_.record(elapsed_us(start, now));
+      request_us_.record(elapsed_us(start, now));
+      return record(std::move(hit));
+    }
+    cache_misses_.inc();
+  }
+  SolveResult result =
+      run_request(handle->trace(), handle.get(), spec, start, queued);
+  if (key && result.status == SolveStatus::kOk) cache_store(*key, result);
+  return result;
 }
 
-void Service::submit(const TenantHandle& tenant, InstanceHandle handle,
-                     SolverSpec spec, SolveCallback done) {
-  if (!tenant)
-    throw std::invalid_argument("Service::submit: null TenantHandle");
+void Service::submit(InstanceHandle handle, SolverSpec spec, SolveCallback done,
+                     const TenantHandle& tenant) {
   if (!handle)
     throw std::invalid_argument("Service::submit: null InstanceHandle");
   if (!done)
@@ -339,50 +248,51 @@ void Service::submit(const TenantHandle& tenant, InstanceHandle handle,
   requests_.inc();
   const auto start = std::chrono::steady_clock::now();
 
-  ResultCache::Key key;
-  bool cacheable = false;
+  // Submit-time cache hits complete inline; a miss is not final yet (the
+  // request rechecks at dispatch), so only serve() counts it.
+  std::optional<ResultCache::Key> key = cache_key(*handle, spec);
   SolveResult hit;
-  if (cache_lookup(handle, spec, &key, &cacheable, &hit)) {
+  if (key && cache_find(*key, spec, &hit)) {
     request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
     done(record(std::move(hit)), nullptr);
     return;
   }
 
+  // Saved before the moves below: the shed path reports the requested
+  // solver against an instance-sized empty schedule.
   const std::string solver_name = spec.name;
   const std::size_t jobs = handle->jobs();
-  auto task = [this, handle = std::move(handle), spec = std::move(spec),
-               done, start, key = std::move(key), cacheable]() mutable {
+  auto task = [this, handle = std::move(handle), spec = std::move(spec), done,
+               start, key = std::move(key)] {
+    SolveResult result;
     try {
-      if (cacheable) {
-        SolveResult again;
-        if (cache_recheck(key, spec, &again)) {
-          const auto now = std::chrono::steady_clock::now();
-          queue_wait_us_.record(elapsed_us(start, now));
-          request_us_.record(elapsed_us(start, now));
-          done(record(std::move(again)), nullptr);
-          return;
-        }
-      }
-      SolveResult result = run_request(handle, spec, start, /*queued=*/true);
-      if (cacheable && result.status == SolveStatus::kOk)
-        cache_store(key, result);
-      done(std::move(result), nullptr);
+      result = serve(handle, spec, key, start, /*queued=*/true);
     } catch (...) {
       done(SolveResult{}, std::current_exception());
+      return;
     }
+    done(std::move(result), nullptr);
   };
-  if (!enqueue(tenant, std::move(task))) {
+  if (!enqueue(tenant ? tenant : default_tenant_, std::move(task))) {
     request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
     done(record(make_shed_result(solver_name, jobs)), nullptr);
   }
 }
 
-std::vector<std::future<SolveResult>> Service::submit_all(
-    InstanceHandle handle, std::vector<SolverSpec> specs) {
-  std::vector<std::future<SolveResult>> futures;
-  futures.reserve(specs.size());
-  for (SolverSpec& spec : specs) futures.push_back(submit(handle, std::move(spec)));
-  return futures;
+std::future<SolveResult> Service::submit(InstanceHandle handle, SolverSpec spec,
+                                         const TenantHandle& tenant) {
+  auto promise = std::make_shared<std::promise<SolveResult>>();
+  std::future<SolveResult> future = promise->get_future();
+  submit(
+      std::move(handle), std::move(spec),
+      [promise](SolveResult result, std::exception_ptr error) {
+        if (error != nullptr)
+          promise->set_exception(error);
+        else
+          promise->set_value(std::move(result));
+      },
+      tenant);
+  return future;
 }
 
 SolveResult Service::solve(const InstanceHandle& handle,
@@ -391,72 +301,33 @@ SolveResult Service::solve(const InstanceHandle& handle,
     throw std::invalid_argument("Service::solve: null InstanceHandle");
   requests_.inc();
   const auto start = std::chrono::steady_clock::now();
-  ResultCache::Key key;
-  bool cacheable = false;
-  SolveResult hit;
-  if (cache_lookup(handle, spec, &key, &cacheable, &hit)) {
-    request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
-    return record(std::move(hit));
-  }
-  // Inline, so the miss is final here.
-  if (cacheable) cache_misses_.inc();
-  SolveResult result = run_request(handle, spec, start, /*queued=*/false);
-  if (cacheable && result.status == SolveStatus::kOk) cache_store(key, result);
-  return result;
+  return serve(handle, spec, cache_key(*handle, spec), start, /*queued=*/false);
 }
 
-SolveResult Service::solve(const Instance& inst, const SolverSpec& spec) {
+SolveResult Service::solve(const EventTrace& workload, const SolverSpec& spec) {
   requests_.inc();
-  const auto start = std::chrono::steady_clock::now();
-  SolverSpec request = spec;
-  auto context = make_context(request, start);
-  const RequestContext& ctx = *context;
-  request.context = std::move(context);
-  return finish_request(ctx, start, [&] {
-    return count_failures([&] { return detail::solve_request(inst, request); });
-  });
-}
-
-SolveResult Service::solve(const EventTrace& trace, const SolverSpec& spec) {
-  requests_.inc();
-  const auto start = std::chrono::steady_clock::now();
-  SolverSpec request = spec;
-  auto context = make_context(request, start);
-  const RequestContext& ctx = *context;
-  request.context = std::move(context);
-  return finish_request(ctx, start, [&] {
-    return count_failures([&] { return detail::solve_request(trace, request); });
-  });
-}
-
-ServiceStats Service::stats() const {
-  const obs::MetricsSnapshot snap = registry_->snapshot();
-  ServiceStats s;
-  s.handles_loaded = snap.counter_value(obs::metric::kServiceHandlesLoaded);
-  s.requests = snap.counter_value(obs::metric::kServiceRequests);
-  s.completed = snap.counter_value(obs::metric::kServiceCompleted);
-  s.ok = snap.counter_value(obs::metric::kServiceOk);
-  s.deadline_expired = snap.counter_value(obs::metric::kServiceDeadlineExpired);
-  s.cancelled = snap.counter_value(obs::metric::kServiceCancelled);
-  s.failed = snap.counter_value(obs::metric::kServiceFailed);
-  s.shed = snap.counter_value(obs::metric::kServiceShed);
-  s.cache_hits = snap.counter_value(obs::metric::kServiceCacheHits);
-  s.cache_misses = snap.counter_value(obs::metric::kServiceCacheMisses);
-  s.cache_evictions = snap.counter_value(obs::metric::kServiceCacheEvictions);
-  // Every cache-eligible request resolves to exactly one hit or one miss,
-  // and only requests that entered the Service are eligible.  Counters are
-  // relaxed atomics, so the identity is only required of a quiescent
-  // snapshot — with requests in flight the three reads are not a cut.
-  if (s.requests == s.completed)
-    BUSYTIME_CHECK(s.cache_hits + s.cache_misses <= s.requests,
-                   "cache hit/miss counters exceed the requests that could "
-                   "have consulted the cache");
-  return s;
+  return run_request(workload, nullptr, spec, std::chrono::steady_clock::now(),
+                     /*queued=*/false);
 }
 
 obs::MetricsSnapshot Service::metrics_snapshot() const {
   obs::publish_pool_stats(pool_.stats(), *registry_);
-  return registry_->snapshot();
+  obs::MetricsSnapshot snap = registry_->snapshot();
+  // Every cache-eligible request resolves to exactly one hit or one miss,
+  // and only requests that entered the Service are eligible.  Counters are
+  // relaxed atomics, so the identity is only required of a quiescent
+  // snapshot — with requests in flight the three reads are not a cut.
+  const auto count = [&snap](const char* name) {
+    return snap.counter_value(name);
+  };
+  if (count(obs::metric::kServiceRequests) ==
+      count(obs::metric::kServiceCompleted))
+    BUSYTIME_CHECK(count(obs::metric::kServiceCacheHits) +
+                           count(obs::metric::kServiceCacheMisses) <=
+                       count(obs::metric::kServiceRequests),
+                   "cache hit/miss counters exceed the requests that could "
+                   "have consulted the cache");
+  return snap;
 }
 
 Service& Service::process_default() {
@@ -467,15 +338,11 @@ Service& Service::process_default() {
   return *service;
 }
 
-// The one-shot entry points are thin shims over the process-default
-// Service (declared in api/registry.hpp; defined here so api/ stays below
-// service/ in the layer map).
-SolveResult run_solver(const Instance& inst, const SolverSpec& spec) {
-  return Service::process_default().solve(inst, spec);
-}
-
-SolveResult run_solver(const EventTrace& trace, const SolverSpec& spec) {
-  return Service::process_default().solve(trace, spec);
+// The one-shot entry point is a thin shim over the process-default Service
+// (declared in api/registry.hpp; defined here so api/ stays below service/
+// in the layer map).
+SolveResult run_solver(const EventTrace& workload, const SolverSpec& spec) {
+  return Service::process_default().solve(workload, spec);
 }
 
 }  // namespace busytime

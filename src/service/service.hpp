@@ -12,8 +12,9 @@
 //    every subsequent request — warm re-solves skip re-classification
 //    entirely (observable via the handle's cache counters);
 //  * submit() enqueues a request onto the Service's own exec::ThreadPool
-//    and returns a std::future<SolveResult>; submit_all() batches; solve()
-//    is the blocking wrapper (inline on the caller thread, no pool hop);
+//    and reports its completion to a callback; the future-returning
+//    submit() is an adapter over it, and solve() is the blocking wrapper
+//    (inline on the caller thread, no pool hop);
 //  * per-request controls — SolverOptions::deadline_ms and
 //    SolverSpec::cancel — are resolved at submission (queue wait counts
 //    against the deadline) and honored at component boundaries; tripped
@@ -31,8 +32,8 @@
 //    requests consult the cache again at dispatch, so identical requests
 //    submitted together collapse to one solve;
 //  * weighted-fair scheduling — tenant(name, weight) returns a
-//    TenantHandle, the tenant submit() overloads enqueue into per-tenant
-//    FIFO queues, and up to `workers` pump tasks drain them in
+//    TenantHandle, submit()'s tenant argument enqueues into that tenant's
+//    FIFO queue, and up to `workers` pump tasks drain them in
 //    deficit-round-robin order (service/tenant_queue.hpp), so backlogged
 //    tenants complete work proportionally to their weights;
 //  * admission control — per-service (ServiceConfig::max_queue) and
@@ -49,8 +50,8 @@
 // Service member is an atomic counter, the cache/scheduler behind their
 // mutexes, or the pool's own queue.
 //
-// The free run_solver(...) functions are thin shims over
-// Service::process_default(), so existing callers get the same facade
+// The free run_solver(...) function is a thin shim over
+// Service::process_default(), so one-shot callers get the same facade
 // (and its request accounting) without holding a Service themselves.
 #pragma once
 
@@ -60,6 +61,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -82,14 +84,12 @@ namespace busytime {
 /// mutation is the one-time view build (std::call_once) and the counters.
 class InstanceState {
  public:
-  /// `view_threads` is the worker count for the one-time view build
-  /// (0 = exec process default; never changes the view's contents).
   /// A non-null `registry` (the owning Service's) additionally receives
   /// the service-wide service.view_builds / service.view_hits counters;
   /// the shared_ptr keeps the cells alive even when a handle outlives its
   /// Service.
   explicit InstanceState(
-      EventTrace trace, int view_threads = 0,
+      EventTrace trace,
       std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
 
   InstanceState(const InstanceState&) = delete;
@@ -111,12 +111,13 @@ class InstanceState {
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   /// The memoized decomposition (components, sub-instances, per-component
-  /// classification) of solve_target().  Built exactly once, on first use;
-  /// concurrent callers block on the build and then share it read-only.
+  /// classification) of solve_target().  Built exactly once, on first use,
+  /// on the exec process default worker count; concurrent callers block on
+  /// the build and then share it read-only.
   const InstanceView& view() const {
     bool built_now = false;
     std::call_once(view_once_, [&] {
-      view_ = std::make_unique<const InstanceView>(solve_target(), view_threads_);
+      view_ = std::make_unique<const InstanceView>(solve_target(), /*threads=*/0);
       built_now = true;
     });
     if (built_now) {
@@ -144,7 +145,6 @@ class InstanceState {
 
  private:
   EventTrace trace_;
-  int view_threads_ = 0;
   std::uint64_t fingerprint_ = 0;
   /// Keeps the counter cells alive for handles that outlive their Service.
   std::shared_ptr<obs::MetricsRegistry> registry_;
@@ -167,9 +167,6 @@ struct ServiceConfig {
   /// blocking solve() calls never spawn threads.  Worker count never
   /// changes results, only throughput.
   int workers = 0;
-  /// Worker count for the one-time InstanceView build of each handle
-  /// (0 = exec process default).
-  int view_threads = 0;
   /// Byte cap of the result cache; 0 (the default) disables caching
   /// entirely — no lookups, no cache_miss counts, behavior identical to
   /// the pre-cache Service.
@@ -180,94 +177,56 @@ struct ServiceConfig {
   std::size_t max_queue = 0;
 };
 
-/// Aggregate request accounting; a consistent-enough snapshot for
-/// monitoring (counters are individually atomic, not read under one lock).
-/// A shim over the service.* counters of the Service's MetricsRegistry —
-/// metrics_snapshot() is the full-fidelity view.
-struct ServiceStats {
-  std::uint64_t handles_loaded = 0;
-  std::uint64_t requests = 0;   ///< submitted + blocking, incl. in-flight
-  /// Requests that reached a terminal state: produced a SolveResult (any
-  /// status) or threw.  Invariant once idle:
-  /// completed == ok + deadline_expired + cancelled + failed + shed.
-  std::uint64_t completed = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t failed = 0;  ///< threw (unknown solver, not applicable, ...)
-  std::uint64_t shed = 0;    ///< rejected by admission control (kShedded)
-  std::uint64_t cache_hits = 0;       ///< requests served from the result cache
-  std::uint64_t cache_misses = 0;     ///< cache-eligible requests that solved
-  std::uint64_t cache_evictions = 0;  ///< entries evicted under the byte cap
-};
-
 class Service {
  public:
   explicit Service(ServiceConfig config = {});
   /// Drains the queue: every submitted request runs to completion (its
-  /// future becomes ready) before the workers join.
+  /// callback runs) before the workers join.
   ~Service() = default;
 
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Wraps a workload into cached instance state.  load(Instance) is the
-  /// no-retractions case.
-  InstanceHandle load(Instance inst);
+  /// Wraps a workload into cached instance state.  A plain Instance
+  /// converts to an EventTrace without retractions.
   InstanceHandle load(EventTrace trace);
 
   /// Names a tenant, creating it on first use; repeat calls update the
   /// weight (DRR shares; >= 1, throws std::invalid_argument otherwise) and
   /// the per-tenant queued-request cap (0 = unlimited).  The returned
-  /// handle addresses the tenant in the submit overloads; the Service keeps
-  /// every tenant alive for its own lifetime.  "default" names the tenant
-  /// the plain submit overloads use.
+  /// handle addresses the tenant in submit(); the Service keeps every
+  /// tenant alive for its own lifetime.  "default" names the tenant a
+  /// submit without one uses.
   TenantHandle tenant(const std::string& name, int weight = 1,
                       std::size_t max_queue = 0);
 
-  /// Enqueues one request.  The deadline clock starts now — queue wait
-  /// counts — and the handle is kept alive by the request.  Errors
-  /// (unknown solver, NotApplicableError, SpecError) surface from
-  /// future.get(); deadline/cancel trips complete normally with the
-  /// corresponding SolveResult::status.  When admission control rejects
-  /// (queue caps, see ServiceConfig::max_queue / tenant()), the future is
-  /// immediately ready with SolveStatus::kShedded; when the result cache
-  /// holds the spec's answer, immediately ready with that answer
-  /// (cached = true) — neither consumes a pool worker.  Do not block on
-  /// the future from inside another request of the same Service (the
-  /// worker executing the waiter would be the one needed to run the
-  /// waitee).
-  std::future<SolveResult> submit(InstanceHandle handle, SolverSpec spec);
-
-  /// Tenant-addressed form: the request queues under `tenant` and competes
-  /// for workers by its weight.  The plain overload is exactly
-  /// submit(tenant("default"), ...).
-  std::future<SolveResult> submit(const TenantHandle& tenant,
-                                  InstanceHandle handle, SolverSpec spec);
-
-  /// Completion callback of the callback-submit overload.  Exactly one of
-  /// the arguments is meaningful: a result on success (any SolveStatus), or
-  /// a non-null exception_ptr when the request threw.
+  /// Completion callback of submit().  Exactly one of the arguments is
+  /// meaningful: a result on success (any SolveStatus), or a non-null
+  /// exception_ptr when the request threw.
   using SolveCallback =
       std::function<void(SolveResult, std::exception_ptr)>;
 
-  /// Callback form of submit() for reactor-style callers (the net/ server)
-  /// that cannot block on a future: `done` is invoked exactly once, on the
-  /// worker thread that ran the request, after the request reaches a
-  /// terminal state.  Same semantics as submit() otherwise (deadline clock
-  /// starts now, handle kept alive by the request).  `done` must not block
-  /// on other requests of the same Service and must not throw.  Shed
-  /// requests and cache hits invoke `done` inline, on the submitting
-  /// thread, before submit returns.
-  void submit(InstanceHandle handle, SolverSpec spec, SolveCallback done);
+  /// Enqueues one request under `tenant` (null = the default tenant),
+  /// where it competes for workers by the tenant's weight.  The deadline
+  /// clock starts now — queue wait counts — and the request keeps the
+  /// handle alive.  `done` runs exactly once, on the worker that ran the
+  /// request, with the result (any SolveStatus: deadline/cancel trips
+  /// complete normally) or the exception the request threw (unknown
+  /// solver, NotApplicableError, SpecError).  A request admission control
+  /// rejects (ServiceConfig::max_queue, tenant() caps) completes inline
+  /// with SolveStatus::kShedded, and one the result cache answers
+  /// completes inline with that answer (cached = true); neither takes a
+  /// pool worker.  `done` must not throw, and must not block on another
+  /// request of this Service (the worker it runs on may be the one that
+  /// request needs).
+  void submit(InstanceHandle handle, SolverSpec spec, SolveCallback done,
+              const TenantHandle& tenant = nullptr);
 
-  /// Tenant-addressed callback form.
-  void submit(const TenantHandle& tenant, InstanceHandle handle,
-              SolverSpec spec, SolveCallback done);
-
-  /// Batch submission: one future per spec, all against the same handle.
-  std::vector<std::future<SolveResult>> submit_all(InstanceHandle handle,
-                                                   std::vector<SolverSpec> specs);
+  /// submit() with the outcome delivered through a future: get() returns
+  /// the result or rethrows the request's exception.  The same rule holds:
+  /// do not wait on it from inside another request of this Service.
+  std::future<SolveResult> submit(InstanceHandle handle, SolverSpec spec,
+                                  const TenantHandle& tenant = nullptr);
 
   /// Blocking wrapper: runs the request inline on the calling thread (no
   /// pool hop), same semantics as submit(...).get() except that inline
@@ -275,16 +234,11 @@ class Service {
   /// fills the result cache like submit.
   SolveResult solve(const InstanceHandle& handle, const SolverSpec& spec);
 
-  /// Non-owning one-shot paths: solve a borrowed workload without building
-  /// handle state (what the free run_solver shims call).  No decomposition
-  /// is cached across calls.
-  SolveResult solve(const Instance& inst, const SolverSpec& spec);
-  SolveResult solve(const EventTrace& trace, const SolverSpec& spec);
+  /// Non-owning one-shot path: solve a borrowed workload without building
+  /// handle state (what the free run_solver shim calls).  No decomposition
+  /// is cached across calls, and the result cache is not consulted.
+  SolveResult solve(const EventTrace& workload, const SolverSpec& spec);
 
-  /// ServiceStats shim over the registry counters (exact once idle, like
-  /// any counter read under concurrent submits).
-  ServiceStats stats() const;
-  const ServiceConfig& config() const noexcept { return config_; }
   /// Resolved worker count of the request pool.
   int workers() const noexcept { return workers_; }
 
@@ -293,54 +247,54 @@ class Service {
   obs::MetricsRegistry& metrics() const noexcept { return *registry_; }
   /// A merged point-in-time snapshot, with the request pool's current
   /// busy/idle/queue accounting published into the exec.* gauges first.
+  /// Counters are individually atomic, not read under one lock, so the
+  /// snapshot is exact once the Service is idle.
   obs::MetricsSnapshot metrics_snapshot() const;
   /// The raw pool accounting sample (what the exec.* gauges are fed from).
   exec::PoolStats pool_stats() const { return pool_.stats(); }
 
-  /// The process-wide Service behind the free run_solver functions.
+  /// The process-wide Service behind the free run_solver function.
   /// Never destroyed (same discipline as exec::ThreadPool::shared()).
   static Service& process_default();
 
  private:
-  /// Builds the RequestContext (deadline resolved against `start`, cancel
-  /// token, metrics sink, trace root when spec.trace is set).
-  std::shared_ptr<RequestContext> make_context(
-      const SolverSpec& spec, std::chrono::steady_clock::time_point start);
-  /// Runs the request through the api/ core with full instrumentation;
-  /// `queued` marks pool-hopped requests (their submit-to-pickup wait is
-  /// recorded as service.queue_wait_us and a queue_wait span).
-  SolveResult run_request(const InstanceHandle& handle, SolverSpec spec,
-                          std::chrono::steady_clock::time_point start,
-                          bool queued);
-  /// Records service.request_us and closes the request's root span around
-  /// `fn`, success or throw.
-  template <typename Fn>
-  SolveResult finish_request(const RequestContext& context,
-                             std::chrono::steady_clock::time_point start,
-                             Fn&& fn);
   /// Status bookkeeping on the way out.
   SolveResult record(SolveResult result) noexcept;
 
-  template <typename Fn>
-  SolveResult count_failures(Fn&& fn);
-
-  /// Cache eligibility + lookup at submit time.  Fills *key when the
-  /// request is cache-eligible (cache on, no trace, not pre-cancelled) and
-  /// *hit on a hit.  Counts only hits — a submit-time miss may still hit
-  /// at dispatch (cache_recheck), so the miss is counted where it becomes
-  /// final.
-  bool cache_lookup(const InstanceHandle& handle, const SolverSpec& spec,
-                    ResultCache::Key* key, bool* cacheable, SolveResult* hit);
-  /// Dispatch-time consult for queued cache-eligible requests: an
-  /// identical request ahead in some queue may have completed while this
-  /// one waited, so queued duplicates collapse to one solve.  Counts the
-  /// hit or the miss — with cache_lookup's hit count, cache_hits +
-  /// cache_misses equals the cache-eligible requests that reached a
-  /// terminal hit/solve decision (shed requests count as neither).
-  bool cache_recheck(const ResultCache::Key& key, const SolverSpec& spec,
-                     SolveResult* hit);
+  /// The result-cache key of a cache-eligible request; nullopt when the
+  /// cache is off, the request is traced (the span tree is the product),
+  /// or its cancel token already fired (it must keep reporting kCancelled).
+  std::optional<ResultCache::Key> cache_key(const InstanceState& state,
+                                            const SolverSpec& spec) const;
+  /// Cache consult; counts a hit (a miss is counted by the caller, where
+  /// it becomes final).  Entries are shared across specs that differ only
+  /// in ignored options, so a hit reports the *hitting* spec's ignored
+  /// keys.
+  bool cache_find(const ResultCache::Key& key, const SolverSpec& spec,
+                  SolveResult* hit);
   /// Stores a completed kOk result and publishes eviction/byte metrics.
   void cache_store(const ResultCache::Key& key, const SolveResult& result);
+
+  /// The handle-request tail shared by submit's pool task (`queued`) and
+  /// the blocking solve: consult the cache — at dispatch, for a queued
+  /// request, an identical request ahead in some queue may have completed
+  /// while this one waited, so queued duplicates collapse to one solve —
+  /// and on a miss (counted here, so cache_hits + cache_misses equals the
+  /// cache-eligible requests that reached a hit/solve decision; shed
+  /// requests count as neither) run the request and store a kOk result.
+  SolveResult serve(const InstanceHandle& handle, const SolverSpec& spec,
+                    const std::optional<ResultCache::Key>& key,
+                    std::chrono::steady_clock::time_point start, bool queued);
+  /// Runs one request through the api/ core with full instrumentation:
+  /// the RequestContext (deadline resolved against `start`, cancel token,
+  /// metrics sink, trace root when spec.trace is set, the cached view of
+  /// `state` when non-null), service.request_us, and the status counters.
+  /// `queued` marks pool-hopped requests (their submit-to-pickup wait is
+  /// recorded as service.queue_wait_us and a queue_wait span).
+  SolveResult run_request(const EventTrace& trace, const InstanceState* state,
+                          SolverSpec spec,
+                          std::chrono::steady_clock::time_point start,
+                          bool queued);
 
   /// Admission check + enqueue under sched_mu_, spawning a pump task when
   /// a worker slot is free.  False = shed (caller produces the kShedded
@@ -349,7 +303,6 @@ class Service {
   /// Pool task: drains tenant queues in DRR order until empty.
   void pump();
 
-  ServiceConfig config_;
   int workers_ = 1;
 
   /// Shared so counter-handle holders that outlive the Service (loaded

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "algo/best_cut.hpp"
 #include "algo/clique_matching.hpp"
@@ -264,35 +266,31 @@ TEST(Dispatch, RoutesToExpectedAlgorithms) {
   p.g = 3;
   {
     const auto r = solve_minbusy_auto(gen_one_sided(p));
-    ASSERT_EQ(r.algos.size(), 1u);
-    EXPECT_EQ(r.algos[0], MinBusyAlgo::kOneSided);
+    EXPECT_EQ(r.names, std::vector<std::string>{"one_sided"});
   }
   {
     const auto r = solve_minbusy_auto(gen_proper_clique(p));
-    ASSERT_EQ(r.algos.size(), 1u);
-    EXPECT_EQ(r.algos[0], MinBusyAlgo::kProperCliqueDp);
+    EXPECT_EQ(r.names, std::vector<std::string>{"proper_clique_dp"});
   }
   p.g = 2;
   {
     const auto r = solve_minbusy_auto(gen_clique(p));
-    ASSERT_EQ(r.algos.size(), 1u);
-    EXPECT_EQ(r.algos[0], MinBusyAlgo::kCliqueMatching);
+    EXPECT_EQ(r.names, std::vector<std::string>{"clique_matching"});
   }
   p.g = 3;
   {
     const auto r = solve_minbusy_auto(gen_clique(p));
-    ASSERT_EQ(r.algos.size(), 1u);
-    EXPECT_EQ(r.algos[0], MinBusyAlgo::kCliqueSetCover);
+    EXPECT_EQ(r.names, std::vector<std::string>{"clique_setcover"});
   }
   {
     const auto r = solve_minbusy_auto(gen_proper(p));
     // Proper instances may decompose into several components; every
     // component must use BestCut (or a stronger clique algorithm).
-    for (const auto algo : r.algos)
-      EXPECT_TRUE(algo == MinBusyAlgo::kBestCut ||
-                  algo == MinBusyAlgo::kProperCliqueDp ||
-                  algo == MinBusyAlgo::kOneSided ||
-                  algo == MinBusyAlgo::kCliqueSetCover);
+    ASSERT_FALSE(r.names.empty());
+    for (const std::string& name : r.names)
+      EXPECT_TRUE(name == "best_cut" || name == "proper_clique_dp" ||
+                  name == "one_sided" || name == "clique_setcover")
+          << name;
   }
 }
 

@@ -24,7 +24,7 @@ TEST(Registry, EnumeratesEverySolverFamily) {
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* expected :
        {"one_sided", "proper_clique_dp", "clique_matching", "clique_setcover",
-        "best_cut", "first_fit", "first_fit_reference", "local_search", "auto",
+        "best_cut", "first_fit", "local_search", "auto",
         "exact", "tput_one_sided", "tput_proper_clique", "tput_clique", "tput_exact",
         "online_first_fit", "online_best_fit", "epoch_hybrid", "first_fit_demands",
         "tput_weighted"}) {

@@ -3,7 +3,7 @@
 // exact solvers, and the sharded online stream driver must produce
 // assignment-identical results at every thread count.  The stress tests at
 // the bottom are the ThreadSanitizer targets (CI builds them with
-// -DBUSYTIME_TSAN=ON).
+// -DBUSYTIME_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -322,7 +322,7 @@ TEST(ShardedStream, DegenerateTracesAreSafe) {
 // Hammers the shared pool from several client threads at once: concurrent
 // sharded replays and per-component dispatches over one shared Instance
 // (exercising the memoized-order cache under contention).  Run under
-// -DBUSYTIME_TSAN=ON in CI; any data race in the exec layer, the instance
+// -DBUSYTIME_SANITIZE=thread in CI; any data race in the exec layer, the instance
 // cache, or the shard merge shows up here.
 TEST(StressParallel, ConcurrentShardedSolvesOverSharedInstance) {
   const Instance trace = sharding_trace(6000);

@@ -133,35 +133,40 @@ TEST(GreedyMatching, IsHalfApproximation) {
 
 // ---- Property tests: blossom vs DP oracle on random graphs ----
 
+// Every field is 8 bytes wide so the struct has no padding: --gtest_list_tests
+// prints the parameter's raw bytes, CTest's test discovery keeps them in the
+// test name, and uninitialised padding would make that name vary by build.
 struct RandomGraphParams {
-  int n;
+  std::int64_t n;
   double density;
   std::int64_t max_weight;
 };
+static_assert(sizeof(RandomGraphParams) == 3 * 8, "RandomGraphParams must have no padding");
 
 class BlossomRandomTest : public ::testing::TestWithParam<RandomGraphParams> {};
 
 TEST_P(BlossomRandomTest, AgreesWithDpOracle) {
   const auto params = GetParam();
+  const int n = static_cast<int>(params.n);
   Rng rng(0xB10550F + static_cast<std::uint64_t>(params.n) * 7919 +
           static_cast<std::uint64_t>(params.max_weight));
   for (int rep = 0; rep < 120; ++rep) {
     std::vector<WeightedEdge> edges;
-    for (int u = 0; u < params.n; ++u)
-      for (int v = u + 1; v < params.n; ++v)
+    for (int u = 0; u < n; ++u)
+      for (int v = u + 1; v < n; ++v)
         if (rng.bernoulli(params.density))
           edges.push_back({u, v, rng.uniform_int(1, params.max_weight)});
 
-    const auto blossom = max_weight_matching(params.n, edges);
-    const auto oracle = max_weight_matching_dp(params.n, edges);
+    const auto blossom = max_weight_matching(n, edges);
+    const auto oracle = max_weight_matching_dp(n, edges);
     EXPECT_EQ(blossom.weight, oracle.weight)
-        << "n=" << params.n << " m=" << edges.size() << " rep=" << rep;
-    verify_matching(params.n, edges, blossom);
+        << "n=" << n << " m=" << edges.size() << " rep=" << rep;
+    verify_matching(n, edges, blossom);
 
     // Greedy is within factor 2.
-    const auto greedy = greedy_matching(params.n, edges);
+    const auto greedy = greedy_matching(n, edges);
     EXPECT_GE(greedy.weight * 2, oracle.weight);
-    verify_matching(params.n, edges, greedy);
+    verify_matching(n, edges, greedy);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
@@ -114,10 +115,12 @@ TEST(ServiceCache, HitEqualsComputedForEveryFamilyAndSolver) {
       const SolveResult hit = service.solve(handle, spec);
       expect_cached_equals_computed(hit, computed, label);
     }
-    const ServiceStats stats = service.stats();
+    const obs::MetricsSnapshot snap = service.metrics_snapshot();
     // Each (solver) pair solved once and hit once, in order.
-    EXPECT_EQ(stats.cache_hits, stats.cache_misses) << family;
-    EXPECT_GT(stats.cache_hits, 0u) << family;
+    EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheHits),
+              snap.counter_value(obs::metric::kServiceCacheMisses))
+        << family;
+    EXPECT_GT(snap.counter_value(obs::metric::kServiceCacheHits), 0u) << family;
   }
 }
 
@@ -146,9 +149,9 @@ TEST(ServiceCache, QueuedDuplicatesCollapseToOneSolve) {
   std::future<SolveResult> second = service.submit(handle, spec);
   const SolveResult a = first.get();
   const SolveResult b = second.get();
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheMisses), 1u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheHits), 1u);
   EXPECT_FALSE(a.cached);
   EXPECT_TRUE(b.cached);
   expect_cached_equals_computed(b, a, "dedup/auto");
@@ -169,9 +172,9 @@ TEST(ServiceCache, IgnoredOptionsReportTheHittingSpec) {
   EXPECT_TRUE(hit.cached);
   EXPECT_EQ(hit.schedule.assignment(), computed.schedule.assignment());
   EXPECT_EQ(hit.ignored_options, std::vector<std::string>{"epoch"});
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheHits), 1u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheMisses), 1u);
 }
 
 TEST(ServiceCache, DistinctInstancesAndSpecsNeverCrossHit) {
@@ -200,9 +203,10 @@ TEST(ServiceCache, DistinctInstancesAndSpecsNeverCrossHit) {
   EXPECT_TRUE(service.solve(reloaded, spec).cached);
   // A different spec on a cached instance is a different key.
   EXPECT_FALSE(service.solve(reloaded, SolverSpec::parse("local_search")).cached);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, families.size() + 1);
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheHits), 1u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheMisses),
+            families.size() + 1);
 }
 
 TEST(ServiceCache, TracedAndPreCancelledRequestsBypassTheCache) {
@@ -326,10 +330,10 @@ TEST(ServiceCache, EvictionMetricsFlowThroughTheService) {
   service.solve(handle, SolverSpec::parse("first_fit"));
   service.solve(handle, SolverSpec::parse("local_search"));
   service.solve(handle, SolverSpec::parse("first_fit"));
-  const ServiceStats stats = service.stats();
-  EXPECT_GT(stats.cache_evictions, 0u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 3u);
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  EXPECT_GT(snap.counter_value(obs::metric::kServiceCacheEvictions), 0u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheHits), 0u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheMisses), 3u);
 }
 
 }  // namespace

@@ -142,12 +142,14 @@ TEST(ServiceTenant, SingleWorkerServiceDispatchesInDrrOrder) {
   const SolverSpec spec = SolverSpec::parse("first_fit");
   for (int i = 1; i <= 3; ++i)
     for (const TenantHandle& t : {a, b, c})
-      service.submit(t, small, spec,
-                     [&mu, &order, label = t->name() + std::to_string(i)](
-                         SolveResult, std::exception_ptr) {
-                       std::lock_guard<std::mutex> lock(mu);
-                       order.push_back(label);
-                     });
+      service.submit(
+          small, spec,
+          [&mu, &order, label = t->name() + std::to_string(i)](
+              SolveResult, std::exception_ptr) {
+            std::lock_guard<std::mutex> lock(mu);
+            order.push_back(label);
+          },
+          t);
   EXPECT_EQ(gate_future.get().status, SolveStatus::kOk);
   // All nine callbacks ran on the single worker after the gate; wait for
   // the last one.
@@ -191,14 +193,16 @@ TEST(ServiceTenant, EightClientStressCompletesProportionallyToWeights) {
     clients.emplace_back([&, i] {
       const TenantHandle& tenant = tenants[i % tenants.size()];
       for (int r = 0; r < kPerClient; ++r)
-        service.submit(tenant, small, spec,
-                       [&mu, &order, name = tenant->name()](
-                           SolveResult result, std::exception_ptr error) {
-                         ASSERT_EQ(error, nullptr);
-                         ASSERT_EQ(result.status, SolveStatus::kOk);
-                         std::lock_guard<std::mutex> lock(mu);
-                         order.push_back(name);
-                       });
+        service.submit(
+            small, spec,
+            [&mu, &order, name = tenant->name()](SolveResult result,
+                                                 std::exception_ptr error) {
+              ASSERT_EQ(error, nullptr);
+              ASSERT_EQ(result.status, SolveStatus::kOk);
+              std::lock_guard<std::mutex> lock(mu);
+              order.push_back(name);
+            },
+            tenant);
     });
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(gate_future.get().status, SolveStatus::kOk);
@@ -220,7 +224,8 @@ TEST(ServiceTenant, EightClientStressCompletesProportionallyToWeights) {
   EXPECT_EQ(alpha, 5);
   EXPECT_EQ(beta, 10);
   EXPECT_EQ(gamma, 20);
-  EXPECT_EQ(service.stats().shed, 0u);
+  EXPECT_EQ(
+      service.metrics_snapshot().counter_value(obs::metric::kServiceShed), 0u);
 }
 
 // ------------------------------------------------------------- shed paths ---
@@ -263,10 +268,14 @@ TEST(ServiceTenant, ServiceWideCapShedsWithEmptySchedules) {
   EXPECT_EQ(gate_future.get().status, SolveStatus::kOk);
   EXPECT_EQ(ok, 3u);
   EXPECT_EQ(shed, 7u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.shed, 7u);
-  EXPECT_EQ(stats.completed, stats.ok + stats.deadline_expired +
-                                 stats.cancelled + stats.failed + stats.shed);
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceShed), 7u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCompleted),
+            snap.counter_value(obs::metric::kServiceOk) +
+                snap.counter_value(obs::metric::kServiceDeadlineExpired) +
+                snap.counter_value(obs::metric::kServiceCancelled) +
+                snap.counter_value(obs::metric::kServiceFailed) +
+                snap.counter_value(obs::metric::kServiceShed));
 }
 
 TEST(ServiceTenant, PerTenantCapShedsOnlyThatTenant) {
@@ -284,10 +293,10 @@ TEST(ServiceTenant, PerTenantCapShedsOnlyThatTenant) {
   std::size_t capped_shed = 0;
   std::vector<std::future<SolveResult>> futures;
   for (int i = 0; i < 5; ++i)
-    futures.push_back(service.submit(capped, small, spec));
+    futures.push_back(service.submit(small, spec, capped));
   // The uncapped tenant is untouched by its neighbor's full queue.
   for (int i = 0; i < 5; ++i)
-    futures.push_back(service.submit(open, small, spec));
+    futures.push_back(service.submit(small, spec, open));
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const SolveResult result = futures[i].get();
     if (result.status == SolveStatus::kShedded) {
@@ -297,7 +306,8 @@ TEST(ServiceTenant, PerTenantCapShedsOnlyThatTenant) {
   }
   EXPECT_EQ(gate_future.get().status, SolveStatus::kOk);
   EXPECT_EQ(capped_shed, 3u);
-  EXPECT_EQ(service.stats().shed, 3u);
+  EXPECT_EQ(
+      service.metrics_snapshot().counter_value(obs::metric::kServiceShed), 3u);
 }
 
 TEST(ServiceTenant, CallbackShedIsDeliveredInline) {
@@ -339,10 +349,10 @@ TEST(ServiceTenant, DefaultTenantMatchesRunSolverExactly) {
   for (const SolverSpec& spec : specs) {
     const SolveResult baseline = run_solver(inst, spec);
     const SolveResult plain = service.submit(handle, spec).get();
-    // The explicit "default" tenant is the same tenant the plain overload
+    // The explicit "default" tenant is the same tenant a submit without one
     // uses, not a namesake.
     const SolveResult named =
-        service.submit(service.tenant("default"), handle, spec).get();
+        service.submit(handle, spec, service.tenant("default")).get();
     for (const SolveResult* result : {&plain, &named}) {
       EXPECT_EQ(result->status, SolveStatus::kOk) << spec.to_string();
       EXPECT_EQ(result->schedule.assignment(),
@@ -352,10 +362,11 @@ TEST(ServiceTenant, DefaultTenantMatchesRunSolverExactly) {
       EXPECT_FALSE(result->cached) << spec.to_string();
     }
   }
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.cache_hits, 0u);  // caching is off by default
-  EXPECT_EQ(stats.cache_misses, 0u);
+  const obs::MetricsSnapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceShed), 0u);
+  // Caching is off by default.
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheHits), 0u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kServiceCacheMisses), 0u);
 }
 
 TEST(ServiceTenant, TenantRegistrationValidatesAndUpdates) {
@@ -370,7 +381,8 @@ TEST(ServiceTenant, TenantRegistrationValidatesAndUpdates) {
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(first->weight(), 5);
   EXPECT_EQ(first->max_queue(), 0u);
-  EXPECT_THROW(service.submit(TenantHandle{}, InstanceHandle{}, SolverSpec{}),
+  // A submit without a workload is rejected whichever tenant it names.
+  EXPECT_THROW(service.submit(InstanceHandle{}, SolverSpec{}, first),
                std::invalid_argument);
 }
 

@@ -1,18 +1,24 @@
-// Service facade: async submits against cached InstanceHandles must be
+// Service facade: requests against cached InstanceHandles must be
 // bit-identical to sequential run_solver for every registered solver at
-// every worker count (the determinism contract extended to the serving
-// layer), warm handles must skip re-classification (cache counters), and
-// per-request deadlines / cancellation tokens must complete requests with
-// the right SolveStatus instead of throwing.  The ServiceFacade suite is a
+// every worker count and through every entry point — future submit,
+// callback submit, tenant submit, blocking solve — with identical service.*
+// counters (the determinism contract extended to the serving layer); warm
+// handles must skip re-classification (cache counters), and per-request
+// deadlines / cancellation tokens must complete requests with the right
+// SolveStatus instead of throwing.  The ServiceFacade suite is a
 // ThreadSanitizer CI target.
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <future>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/registry.hpp"
+#include "obs/metrics.hpp"
 #include "online/event.hpp"
 #include "service/service.hpp"
 #include "workload/cancellable.hpp"
@@ -44,6 +50,26 @@ std::vector<SolverSpec> runnable_specs(const Instance& inst, Time budget) {
     specs.push_back(std::move(spec));
   }
   return specs;
+}
+
+std::uint64_t counter(const Service& service, const char* name) {
+  return service.metrics_snapshot().counter_value(name);
+}
+
+/// Every service.* counter, by name.
+std::map<std::string, std::uint64_t> service_counters(const Service& service) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : service.metrics_snapshot().counters)
+    if (name.rfind("service.", 0) == 0) out[name] = value;
+  return out;
+}
+
+std::map<std::string, std::uint64_t> counter_deltas(
+    const std::map<std::string, std::uint64_t>& before,
+    const std::map<std::string, std::uint64_t>& after) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : after) out[name] = value - before.at(name);
+  return out;
 }
 
 /// Bit-identity modulo wall_ms (the only timing-dependent field).
@@ -93,6 +119,104 @@ std::vector<Instance> family_instances() {
   return out;
 }
 
+/// The public request entry points.  Each is one path through the same
+/// core, so each must produce the same results and the same counters.
+enum class Entry { kFuture, kCallback, kTenant, kSolve };
+constexpr Entry kEntries[] = {Entry::kFuture, Entry::kCallback, Entry::kTenant,
+                              Entry::kSolve};
+
+std::string entry_name(Entry entry) {
+  switch (entry) {
+    case Entry::kFuture: return "future";
+    case Entry::kCallback: return "callback";
+    case Entry::kTenant: return "tenant";
+    case Entry::kSolve: return "solve";
+  }
+  return "?";
+}
+
+/// One request's outcome: its result, or whether it threw.
+struct Outcome {
+  SolveResult result;
+  bool threw = false;
+};
+
+/// Sends `specs` against `handle` through `entry` and returns the outcomes
+/// in spec order.  The submit entry points put every request in flight
+/// before waiting on any; blocking solves run one after another.
+std::vector<Outcome> send(Service& service, Entry entry,
+                          const InstanceHandle& handle,
+                          const std::vector<SolverSpec>& specs) {
+  std::vector<Outcome> out(specs.size());
+  std::vector<std::future<SolveResult>> futures;
+  for (const SolverSpec& spec : specs) {
+    switch (entry) {
+      case Entry::kFuture:
+        futures.push_back(service.submit(handle, spec));
+        break;
+      case Entry::kTenant:
+        futures.push_back(service.submit(handle, spec, service.tenant("t", 2)));
+        break;
+      case Entry::kCallback: {
+        auto promise = std::make_shared<std::promise<SolveResult>>();
+        futures.push_back(promise->get_future());
+        service.submit(handle, spec,
+                       [promise](SolveResult result, std::exception_ptr error) {
+                         if (error != nullptr)
+                           promise->set_exception(error);
+                         else
+                           promise->set_value(std::move(result));
+                       });
+        break;
+      }
+      case Entry::kSolve: {
+        std::promise<SolveResult> inline_result;
+        try {
+          inline_result.set_value(service.solve(handle, spec));
+        } catch (...) {
+          inline_result.set_exception(std::current_exception());
+        }
+        futures.push_back(inline_result.get_future());
+        break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    try {
+      out[i].result = futures[i].get();
+    } catch (...) {
+      // The exception object is shared with the worker that threw it, and
+      // its refcount lives in uninstrumented libstdc++: reading it here
+      // would look like a race to ThreadSanitizer.  Its type is pinned by
+      // ErrorsPropagateThroughFutures.
+      out[i].threw = true;
+    }
+  }
+  return out;
+}
+
+/// A workload whose `auto` solve is slow enough to act as a gate: while it
+/// occupies the single worker, everything submitted behind it queues up.
+Instance gate_instance() {
+  GenParams p;
+  p.n = 150;
+  p.g = 3;
+  p.seed = 3;
+  return gen_clique(p);
+}
+
+/// Blocks until `picked_up` queued requests have left the queue (their
+/// submit-to-pickup wait lands in service.queue_wait_us).
+void wait_for_pickup(const Service& service, std::uint64_t picked_up) {
+  for (;;) {
+    const obs::MetricsSnapshot snap = service.metrics_snapshot();
+    const obs::HistogramSnapshot* wait =
+        snap.histogram(obs::metric::kServiceQueueWaitUs);
+    if (wait != nullptr && wait->count >= picked_up) return;
+    std::this_thread::yield();
+  }
+}
+
 TEST(ServiceFacade, ConcurrentSubmitsMatchSequentialRunSolver) {
   const std::vector<Instance> instances = family_instances();
 
@@ -113,24 +237,117 @@ TEST(ServiceFacade, ConcurrentSubmitsMatchSequentialRunSolver) {
     for (const SolverSpec& spec : specs) baseline.push_back(run_solver(inst, spec));
 
     for (const int workers : {1, 2, 8}) {
-      Service service(ServiceConfig{workers});
-      const InstanceHandle handle = service.load(inst);
-      // Two rounds through the shared handle: the second is fully warm.
-      for (int round = 0; round < 2; ++round) {
-        std::vector<std::future<SolveResult>> futures =
-            service.submit_all(handle, specs);
-        ASSERT_EQ(futures.size(), specs.size());
-        for (std::size_t i = 0; i < futures.size(); ++i)
-          expect_same_result(futures[i].get(), baseline[i],
-                            specs[i].name + " workers=" + std::to_string(workers) +
-                                " round=" + std::to_string(round));
+      std::map<std::string, std::uint64_t> future_deltas;
+      for (const Entry entry : kEntries) {
+        const std::string where =
+            entry_name(entry) + " workers=" + std::to_string(workers);
+        Service service(ServiceConfig{workers});
+        const InstanceHandle handle = service.load(inst);
+        const auto before = service_counters(service);
+        // Two rounds through the shared handle: the second is fully warm.
+        for (int round = 0; round < 2; ++round) {
+          const std::vector<Outcome> outcomes =
+              send(service, entry, handle, specs);
+          for (std::size_t i = 0; i < specs.size(); ++i) {
+            const std::string label =
+                specs[i].name + " " + where + " round=" + std::to_string(round);
+            EXPECT_FALSE(outcomes[i].threw) << label;
+            expect_same_result(outcomes[i].result, baseline[i], label);
+          }
+        }
+        const auto deltas = counter_deltas(before, service_counters(service));
+        EXPECT_EQ(deltas.at(obs::metric::kServiceRequests), 2 * specs.size())
+            << where;
+        EXPECT_EQ(deltas.at(obs::metric::kServiceCompleted), 2 * specs.size())
+            << where;
+        EXPECT_EQ(deltas.at(obs::metric::kServiceOk), 2 * specs.size()) << where;
+        EXPECT_EQ(deltas.at(obs::metric::kServiceFailed), 0u) << where;
+        if (entry == Entry::kFuture)
+          future_deltas = deltas;
+        else
+          EXPECT_EQ(deltas, future_deltas) << where;
       }
-      const ServiceStats stats = service.stats();
-      EXPECT_EQ(stats.requests, 2 * specs.size());
-      EXPECT_EQ(stats.completed, 2 * specs.size());
-      EXPECT_EQ(stats.ok, 2 * specs.size());
-      EXPECT_EQ(stats.failed, 0u);
     }
+  }
+
+  // One request of every other terminal kind, through each entry point, on
+  // a cache-enabled single-worker Service capped at one queued request: a
+  // shed, a cache hit, a deadline trip and a throwing spec.
+  const SolverSpec shed_spec = SolverSpec::parse("local_search");
+  const std::vector<SolverSpec> later = {
+      SolverSpec::parse("first_fit"),  // hits the filler's cached result
+      SolverSpec::parse("auto:deadline_ms=0.000001"),
+      SolverSpec::parse("no_such_solver"),
+  };
+  std::vector<Outcome> future_outcomes;
+  std::map<std::string, std::uint64_t> future_deltas;
+  for (const Entry entry : kEntries) {
+    const std::string where = entry_name(entry);
+    ServiceConfig config;
+    config.workers = 1;
+    config.max_queue = 1;
+    config.cache_bytes = 32u << 20;
+    Service service(config);
+    const InstanceHandle gate = service.load(gate_instance());
+    const InstanceHandle handle = service.load(instances[0]);
+    const auto before = service_counters(service);
+
+    // The gate pins the only worker and the filler takes the only queue
+    // slot, so the next queued request sheds.  A blocking solve runs inline
+    // and is never shed.
+    std::future<SolveResult> gate_future =
+        service.submit(gate, SolverSpec::parse("auto"));
+    wait_for_pickup(service, 1);
+    std::future<SolveResult> filler =
+        service.submit(handle, SolverSpec::parse("first_fit"));
+    std::vector<Outcome> outcomes = send(service, entry, handle, {shed_spec});
+    EXPECT_EQ(gate_future.get().status, SolveStatus::kOk) << where;
+    EXPECT_EQ(filler.get().status, SolveStatus::kOk) << where;
+    // One at a time: a second queued request would find the slot taken.
+    for (const SolverSpec& spec : later)
+      outcomes.push_back(send(service, entry, handle, {spec}).front());
+    const auto deltas = counter_deltas(before, service_counters(service));
+
+    ASSERT_EQ(outcomes.size(), 4u);
+    if (entry == Entry::kSolve) {
+      EXPECT_FALSE(outcomes[0].threw) << where;
+      expect_same_result(outcomes[0].result,
+                         run_solver(instances[0], shed_spec), where);
+    } else {
+      EXPECT_EQ(outcomes[0].result.status, SolveStatus::kShedded) << where;
+      EXPECT_EQ(outcomes[0].result.solver, shed_spec.name) << where;
+      EXPECT_FALSE(outcomes[0].result.valid) << where;
+    }
+    EXPECT_TRUE(outcomes[1].result.cached) << where;
+    EXPECT_EQ(outcomes[1].result.status, SolveStatus::kOk) << where;
+    EXPECT_EQ(outcomes[2].result.status, SolveStatus::kDeadline) << where;
+    EXPECT_TRUE(outcomes[3].threw) << where;
+
+    if (entry == Entry::kFuture) {
+      future_outcomes = outcomes;
+      future_deltas = deltas;
+      EXPECT_EQ(deltas.at(obs::metric::kServiceShed), 1u);
+      EXPECT_EQ(deltas.at(obs::metric::kServiceCacheHits), 1u);
+      EXPECT_EQ(deltas.at(obs::metric::kServiceDeadlineExpired), 1u);
+      EXPECT_EQ(deltas.at(obs::metric::kServiceFailed), 1u);
+      continue;
+    }
+    for (std::size_t i = entry == Entry::kSolve ? 1 : 0; i < outcomes.size();
+         ++i) {
+      const std::string label = where + " #" + std::to_string(i);
+      EXPECT_EQ(outcomes[i].threw, future_outcomes[i].threw) << label;
+      expect_same_result(outcomes[i].result, future_outcomes[i].result, label);
+      EXPECT_EQ(outcomes[i].result.cached, future_outcomes[i].result.cached)
+          << label;
+    }
+    auto expected = future_deltas;
+    if (entry == Entry::kSolve) {
+      // The inline solve of the shed spec: a cache miss that completes ok.
+      expected[obs::metric::kServiceShed] -= 1;
+      expected[obs::metric::kServiceOk] += 1;
+      expected[obs::metric::kServiceCacheMisses] += 1;
+    }
+    EXPECT_EQ(deltas, expected) << where;
   }
 }
 
@@ -217,7 +434,7 @@ TEST(ServiceFacade, HandlesAreIndependent) {
   service.solve(a, SolverSpec::parse("auto"));
   EXPECT_EQ(a->view_builds(), 1u);
   EXPECT_EQ(b->view_builds(), 0u);
-  EXPECT_EQ(service.stats().handles_loaded, 2u);
+  EXPECT_EQ(counter(service, obs::metric::kServiceHandlesLoaded), 2u);
 }
 
 // ------------------------------------------------------- request controls ---
@@ -235,7 +452,7 @@ TEST(ServiceFacade, ExpiredDeadlineCompletesWithDeadlineStatus) {
   EXPECT_EQ(result.schedule.throughput(), 0);
   EXPECT_EQ(result.schedule.assignment().size(), inst.size());
   EXPECT_NE(result.summary().find("deadline"), std::string::npos);
-  EXPECT_EQ(service.stats().deadline_expired, 1u);
+  EXPECT_EQ(counter(service, obs::metric::kServiceDeadlineExpired), 1u);
 
   // A generous deadline never trips.
   spec.options.deadline_ms = 60000;
@@ -253,7 +470,7 @@ TEST(ServiceFacade, CancelTokenCompletesWithCancelledStatus) {
   const SolveResult result = service.submit(handle, spec).get();
   EXPECT_EQ(result.status, SolveStatus::kCancelled);
   EXPECT_FALSE(result.valid);
-  EXPECT_EQ(service.stats().cancelled, 1u);
+  EXPECT_EQ(counter(service, obs::metric::kServiceCancelled), 1u);
 
   // Cancellation wins over an expired deadline (it is checked first).
   SolverSpec both = SolverSpec::parse("first_fit:deadline_ms=0.000001");
@@ -284,7 +501,7 @@ TEST(ServiceFacade, ErrorsPropagateThroughFutures) {
                std::invalid_argument);
   SolverSpec budgetless = SolverSpec::parse("tput_clique");
   EXPECT_THROW(service.submit(handle, budgetless).get(), SpecError);
-  EXPECT_EQ(service.stats().failed, 2u);
+  EXPECT_EQ(counter(service, obs::metric::kServiceFailed), 2u);
 
   EXPECT_THROW(service.submit(nullptr, SolverSpec::parse("auto")),
                std::invalid_argument);
