@@ -5,10 +5,10 @@
 #include <stdexcept>
 
 #include "algo/local_search.hpp"
-#include "core/bounds.hpp"
 #include "core/validate.hpp"
 #include "obs/hooks.hpp"
 #include "online/event.hpp"
+#include "util/check.hpp"
 
 namespace busytime {
 
@@ -102,17 +102,24 @@ const std::vector<const SolverInfo*>& SolverRegistry::dispatchable() const {
 
 namespace {
 
-/// Uniform SolveResult epilogue shared by every run path: derives cost,
-/// throughput, bounds, ratio, and validity from the schedule against the
-/// instance the result is measured on.
+/// Uniform epilogue of every kOk result: derives cost, throughput, bounds,
+/// ratio, and validity from the schedule against the instance the result
+/// is measured on, in one measure_schedule pass.
 void finalize_result(SolveResult& result, const Instance& inst) {
   result.schedule.ensure_size(inst.size());
-  result.cost = result.schedule.cost(inst);
-  result.throughput = result.schedule.throughput();
-  result.bounds = compute_bounds(inst);
+  const ScheduleMeasure measure = measure_schedule(inst, result.schedule);
+  result.cost = measure.cost;
+  result.throughput = measure.throughput;
+  result.bounds = measure.bounds;
   result.ratio_to_lower_bound =
-      inst.empty() ? 0 : ratio_to_lower_bound(inst, result.cost);
-  result.valid = is_valid(inst, result.schedule);
+      inst.empty() ? 0 : measure.bounds.ratio(measure.cost);
+  result.valid = measure.valid;
+  BUSYTIME_CHECK(result.valid, "a solver returned a kOk schedule that runs "
+                               "more than g jobs at once on some machine");
+  BUSYTIME_CHECK(result.throughput != static_cast<std::int64_t>(inst.size()) ||
+                     result.bounds.admissible(result.cost),
+                 "a full schedule's cost falls outside the Observation 2.1 "
+                 "bounds [max(span, len/g), len]");
 }
 
 /// Opens the "solve" span covering the run path's timed region and anchors
@@ -263,17 +270,17 @@ SolveResult detail::solve_request(const EventTrace& trace,
   } catch (const RequestCancelledError&) {
     result = control_tripped(info, SolveStatus::kCancelled, inst.size());
   }
+  if (result.status == SolveStatus::kOk) {
+    const obs::ScopedSpan finalize_span(solve_span.trace(), "finalize",
+                                        solve_span.id());
+    finalize_result(result, inst);
+  }
   const auto t1 = std::chrono::steady_clock::now();
 
   result.solver = info.name;
   result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   result.ignored_options = detail::ignored_options(info, spec.options);
   if (result.status != SolveStatus::kOk) return result;
-  {
-    const obs::ScopedSpan finalize_span(solve_span.trace(), "finalize",
-                                        solve_span.id());
-    finalize_result(result, inst);
-  }
   // Offline solvers have no streaming pool; give their counters the offline
   // meaning so every SolveResult reports through the same fields.  (A replay
   // counts its own placements, so this never touches an online result.)

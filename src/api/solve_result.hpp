@@ -56,7 +56,8 @@ struct SolveResult {
   /// pool; offline solvers fill the jobs_assigned / machines_opened /
   /// online_cost subset (machines never close offline).
   EngineStats stats;
-  /// Wall-clock time of the solver proper (excludes validation/bounds).
+  /// Wall-clock time of the solve path: the solver, the local-search
+  /// post-pass, and finalize (cost, bounds, validity).
   double wall_ms = 0;
   /// Non-default spec options the chosen solver never looked at (e.g.
   /// budget= on an offline solver, epoch= on first-fit), in option-key

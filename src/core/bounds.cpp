@@ -1,7 +1,5 @@
 #include "core/bounds.hpp"
 
-#include <cassert>
-
 namespace busytime {
 
 CostBounds compute_bounds(const Instance& inst) {
@@ -14,10 +12,7 @@ CostBounds compute_bounds(const Instance& inst) {
 }
 
 double ratio_to_lower_bound(const Instance& inst, Time cost) {
-  const CostBounds b = compute_bounds(inst);
-  assert(b.lower_bound_times_g() > 0);
-  return static_cast<double>(cost) * static_cast<double>(b.g) /
-         static_cast<double>(b.lower_bound_times_g());
+  return compute_bounds(inst).ratio(cost);
 }
 
 }  // namespace busytime

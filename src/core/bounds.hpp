@@ -5,6 +5,7 @@
 // C satisfies the bound iff C * g >= len(J).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "core/instance.hpp"
@@ -28,6 +29,14 @@ struct CostBounds {
   /// Floating-point view of the best lower bound, for reporting ratios.
   double lower_bound() const noexcept {
     return static_cast<double>(lower_bound_times_g()) / static_cast<double>(g);
+  }
+
+  /// cost / lower_bound(), computed exactly as ratio_to_lower_bound does.
+  /// Requires lower_bound_times_g() > 0 (a non-empty instance).
+  double ratio(Time cost) const noexcept {
+    assert(lower_bound_times_g() > 0);
+    return static_cast<double>(cost) * static_cast<double>(g) /
+           static_cast<double>(lower_bound_times_g());
   }
 
   /// True iff `cost` respects all Observation 2.1 bounds.

@@ -6,9 +6,11 @@
 // arrivals at equal times.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
+#include "core/bounds.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 
@@ -28,6 +30,24 @@ std::optional<Violation> find_violation(const Instance& inst, const Schedule& s)
 
 /// True iff `s` is a valid (partial) schedule for `inst`.
 bool is_valid(const Instance& inst, const Schedule& s);
+
+/// What a result reports about its schedule, measured in one pass.
+struct ScheduleMeasure {
+  Time cost = 0;                ///< Schedule::cost
+  std::int64_t throughput = 0;  ///< Schedule::throughput
+  bool valid = false;           ///< is_valid
+  CostBounds bounds;            ///< compute_bounds of the instance
+};
+
+/// Cost, throughput, validity and Observation 2.1 bounds of `s` on `inst`
+/// with no sort of its own: one sweep of the memoized inst.ids_by_start()
+/// gives len and span and, as a counting sort, buckets the scheduled jobs
+/// by machine already start-sorted; each bucket then gives its machine's
+/// union length and, through a min-heap of at most g completion times, the
+/// <= g check.  O(n log g + machines).  Schedule::cost / throughput,
+/// is_valid and compute_bounds stay the oracles it is tested against.
+/// Throws std::invalid_argument unless s.size() == inst.size().
+ScheduleMeasure measure_schedule(const Instance& inst, const Schedule& s);
 
 /// Maximum number of jobs of `inst` concurrently active at any time point if
 /// all were placed on one machine (the clique number ω of the interval

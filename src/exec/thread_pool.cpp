@@ -11,8 +11,9 @@ namespace busytime::exec {
 
 namespace {
 
-/// Set for the lifetime of every shared-pool worker thread: a nested
-/// parallel_for must not block on the pool it is running on.
+/// Set for the lifetime of every ThreadPool worker thread (the shared pool's
+/// and a Service's request workers alike): a parallel_for started there
+/// runs inline.
 thread_local bool tls_in_worker = false;
 
 int clamp_threads(int n) { return std::min(std::max(n, 1), kMaxThreads); }
@@ -52,8 +53,6 @@ void set_default_threads(int n) noexcept {
 int resolve_threads(int requested) noexcept {
   return requested == 0 ? default_threads() : clamp_threads(requested);
 }
-
-bool in_parallel_region() noexcept { return tls_in_worker; }
 
 // ----------------------------------------------------------------- pool ---
 

@@ -9,8 +9,13 @@
 //    storage, so any interleaving reproduces the sequential loop's output;
 //  * threads == 1 is an exact sequential path — no pool, no atomics, bodies
 //    run in index order on the calling thread;
-//  * a nested parallel_for on a pool worker runs inline on that worker, so
-//    solver code may use the helpers freely without deadlock analysis.
+//  * a parallel_for started on a pool worker — a body of an outer loop, or
+//    a pool task such as a Service request — runs inline on that worker.
+//    Solver code may use the helpers freely without deadlock analysis, and
+//    a pooled request's time follows one CPU's speed rather than how many
+//    of the host's CPUs happen to be free: on a shared host the latter
+//    swings from one minute to the next, and a request that fanned out
+//    would swing with it.
 //
 // Work stealing is invisible under that contract: *which worker* runs a task
 // never affects results, only wall time, so an idle worker lifting the
@@ -57,11 +62,9 @@ void set_default_threads(int n) noexcept;
 /// default_threads(); anything else is clamped to [1, kMaxThreads].
 int resolve_threads(int requested) noexcept;
 
-/// True on a shared-pool worker thread; parallel_for then runs inline.
-bool in_parallel_region() noexcept;
-
 /// Runs body(0) .. body(n-1), each exactly once, using up to `threads`
-/// workers (0 = default_threads(); 1 or n <= 1 = sequential in index order).
+/// workers (0 = default_threads(); 1 or n <= 1 = sequential in index order;
+/// on a pool worker thread, inline in index order).
 /// Blocks until every body has finished.  The first exception thrown by a
 /// body is rethrown here after the remaining indices are skipped.
 /// `body` must be safe to call concurrently for distinct indices.

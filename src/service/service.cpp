@@ -34,13 +34,19 @@ SolveResult make_shed_result(const std::string& solver, std::size_t jobs) {
 
 InstanceState::InstanceState(EventTrace trace,
                              std::shared_ptr<obs::MetricsRegistry> registry)
-    : trace_(std::move(trace)),
-      fingerprint_(util::fnv1a_64(event_trace_to_string(trace_))) {
+    : trace_(std::move(trace)) {
   if (registry != nullptr) {
     builds_counter_ = registry->counter(obs::metric::kServiceViewBuilds);
     hits_counter_ = registry->counter(obs::metric::kServiceViewHits);
     registry_ = std::move(registry);
   }
+}
+
+std::uint64_t InstanceState::fingerprint() const {
+  std::call_once(fingerprint_once_, [this] {
+    fingerprint_ = util::fnv1a_64(event_trace_to_string(trace_));
+  });
+  return fingerprint_;
 }
 
 Service::Service(ServiceConfig config)

@@ -81,7 +81,8 @@ namespace busytime {
 /// Immutable per-workload state cached across requests: the event trace
 /// (base instance + retractions) and the lazily-built InstanceView of the
 /// solve target.  Shared read-only by every request thread; the only
-/// mutation is the one-time view build (std::call_once) and the counters.
+/// mutations are the one-time view build and fingerprint (std::call_once)
+/// and the counters.
 class InstanceState {
  public:
   /// A non-null `registry` (the owning Service's) additionally receives
@@ -105,10 +106,12 @@ class InstanceState {
   int g() const noexcept { return trace_.g(); }
 
   /// Stable 64-bit FNV-1a fingerprint of the workload's canonical text
-  /// bytes (io/serialize's event-trace form), computed once at load().
-  /// The instance half of the result-cache key: equal workloads hash
-  /// equal across handles, Services, and processes.
-  std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+  /// bytes (io/serialize's event-trace form), computed on the first call
+  /// (std::call_once) — the Service asks only for a result-cache key, so
+  /// a Service without a cache never pays for it.  The instance half of
+  /// the result-cache key: equal workloads hash equal across handles,
+  /// Services, and processes.
+  std::uint64_t fingerprint() const;
 
   /// The memoized decomposition (components, sub-instances, per-component
   /// classification) of solve_target().  Built exactly once, on first use,
@@ -145,7 +148,8 @@ class InstanceState {
 
  private:
   EventTrace trace_;
-  std::uint64_t fingerprint_ = 0;
+  mutable std::once_flag fingerprint_once_;
+  mutable std::uint64_t fingerprint_ = 0;
   /// Keeps the counter cells alive for handles that outlive their Service.
   std::shared_ptr<obs::MetricsRegistry> registry_;
   obs::Counter builds_counter_;  ///< service.view_builds (inert without registry)

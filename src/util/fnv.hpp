@@ -1,8 +1,8 @@
 // 64-bit FNV-1a: the stable, dependency-free byte-string hash behind the
 // Service's instance fingerprints.  Stability matters more than speed here —
-// the fingerprint is computed once per InstanceHandle load and keys cache
-// entries for the handle's whole lifetime, so the function must never change
-// across builds or platforms.
+// the fingerprint is computed at most once per InstanceHandle, on its first
+// result-cache lookup, and keys cache entries for the handle's whole
+// lifetime, so the function must never change across builds or platforms.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,19 @@
-// Tests for Schedule cost/throughput/saving accounting and validity checks.
+// Tests for Schedule cost/throughput/saving accounting and validity checks,
+// and for measure_schedule, the one-pass measurement every solve result is
+// finalized with, against the from-scratch oracles (Schedule::cost,
+// throughput, is_valid, compute_bounds).
 #include "core/schedule.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "api/registry.hpp"
 #include "core/bounds.hpp"
 #include "core/validate.hpp"
 #include "util/prng.hpp"
+#include "workload/generators.hpp"
+#include "workload/trace.hpp"
 
 namespace busytime {
 namespace {
@@ -167,6 +175,121 @@ TEST(Bounds, RandomFullSchedulesAreAdmissible) {
     const CostBounds b = compute_bounds(inst);
     EXPECT_TRUE(b.admissible(s.cost(inst))) << inst.summary();
   }
+}
+
+/// measure_schedule must agree with every oracle, field by field.
+void expect_measure_matches_oracles(const Instance& inst, const Schedule& s,
+                                    const std::string& label) {
+  const ScheduleMeasure m = measure_schedule(inst, s);
+  const CostBounds b = compute_bounds(inst);
+  const Time cost = s.cost(inst);
+  EXPECT_EQ(m.cost, cost) << label;
+  EXPECT_EQ(m.throughput, s.throughput()) << label;
+  EXPECT_EQ(m.valid, is_valid(inst, s)) << label;
+  EXPECT_EQ(m.bounds.length, b.length) << label;
+  EXPECT_EQ(m.bounds.span, b.span) << label;
+  EXPECT_EQ(m.bounds.parallelism_num, b.parallelism_num) << label;
+  EXPECT_EQ(m.bounds.g, b.g) << label;
+  if (!inst.empty()) {
+    EXPECT_EQ(m.bounds.ratio(m.cost), ratio_to_lower_bound(inst, cost))
+        << label;
+  }
+}
+
+// Property: on the six generator families, the raw schedule of every
+// applicable registered solver (partial ones from the budgeted throughput
+// solvers included) measures exactly as the oracles do.
+TEST(MeasureSchedule, MatchesOraclesOnEveryFamilyAndSolver) {
+  const char* families[] = {"general", "clique", "proper", "proper_clique",
+                            "one_sided", "trace"};
+  for (const std::string family : families) {
+    for (const int n : {9, 60}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        GenParams p;
+        p.n = n;
+        p.g = static_cast<int>(seed) + 1;
+        p.seed = seed;
+        TraceParams t;
+        t.n = n;
+        t.g = p.g;
+        t.seed = seed;
+        const Instance inst = family == "general"         ? gen_general(p)
+                              : family == "clique"        ? gen_clique(p)
+                              : family == "proper"        ? gen_proper(p)
+                              : family == "proper_clique" ? gen_proper_clique(p)
+                              : family == "one_sided"     ? gen_one_sided(p)
+                                                          : gen_trace(t);
+        for (const SolverInfo* info : SolverRegistry::instance().all()) {
+          if (!info->applicable(inst)) continue;
+          SolverSpec spec;
+          spec.name = info->name;
+          if (info->needs_budget) spec.options.budget = inst.span() / 2;
+          Schedule s = info->run(inst, spec).schedule;
+          s.ensure_size(inst.size());
+          expect_measure_matches_oracles(
+              inst, s,
+              family + " n=" + std::to_string(n) + " seed=" +
+                  std::to_string(seed) + " " + info->name);
+        }
+      }
+    }
+  }
+}
+
+TEST(MeasureSchedule, MatchesOraclesOnAdversarialSchedules) {
+  // Empty instance and a single job.
+  expect_measure_matches_oracles(Instance({}, 3), Schedule(0), "empty");
+  const Instance one({Job(5, 9)}, 1);
+  expect_measure_matches_oracles(one, Schedule(1), "single job, unscheduled");
+  expect_measure_matches_oracles(one, one_job_per_machine(one), "single job");
+
+  // Half-open intervals: jobs touching the g-th slot's completion are not
+  // concurrent with it; a one-unit overlap is.
+  const Instance touching(
+      {Job(0, 4), Job(0, 4), Job(4, 8), Job(4, 6), Job(6, 9)}, 2);
+  const Schedule all_on_zero(std::vector<MachineId>(touching.size(), 0));
+  EXPECT_TRUE(measure_schedule(touching, all_on_zero).valid);
+  expect_measure_matches_oracles(touching, all_on_zero, "touching at g");
+  const Instance overlapping({Job(0, 4), Job(0, 4), Job(3, 8)}, 2);
+  const Schedule crowded(std::vector<MachineId>(overlapping.size(), 0));
+  EXPECT_FALSE(measure_schedule(overlapping, crowded).valid);
+  expect_measure_matches_oracles(overlapping, crowded, "overlap at g");
+
+  // Random reassignments of a valid first-fit schedule break validity,
+  // unschedule jobs, and spread machine ids with gaps between them.
+  Rng rng(20240613);
+  for (int rep = 0; rep < 200; ++rep) {
+    TraceParams t;
+    t.n = static_cast<int>(rng.uniform_int(2, 120));
+    t.g = static_cast<int>(rng.uniform_int(1, 5));
+    t.max_duration = rng.uniform_int(5, 200);
+    t.seed = static_cast<std::uint64_t>(rep) + 1;
+    const Instance inst = gen_trace(t);
+    SolverSpec spec;
+    spec.name = "first_fit";
+    Schedule s =
+        SolverRegistry::instance().at("first_fit").run(inst, spec).schedule;
+    const MachineId machines = s.machine_count();
+    const auto n = static_cast<std::int64_t>(inst.size());
+    const std::int64_t moves = rng.uniform_int(0, n);
+    for (std::int64_t k = 0; k < moves; ++k) {
+      const auto j = static_cast<JobId>(rng.uniform_int(0, n - 1));
+      const std::int64_t pick = rng.uniform_int(-1, machines);
+      s.assign(j, pick < 0 ? Schedule::kUnscheduled
+                           : static_cast<MachineId>(pick));
+    }
+    if (rep % 2 == 1) {
+      for (std::size_t j = 0; j < s.size(); ++j) {
+        const MachineId m = s.machine_of(static_cast<JobId>(j));
+        if (m != Schedule::kUnscheduled)
+          s.assign(static_cast<JobId>(j), m * 5 + 3);
+      }
+    }
+    expect_measure_matches_oracles(inst, s, "rep " + std::to_string(rep));
+  }
+
+  // The schedule must cover exactly the instance's jobs.
+  EXPECT_THROW(measure_schedule(one, Schedule(2)), std::invalid_argument);
 }
 
 }  // namespace

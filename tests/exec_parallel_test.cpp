@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -73,13 +75,54 @@ TEST(ExecPool, ParallelForPropagatesExceptions) {
 }
 
 TEST(ExecPool, NestedParallelForRunsInlineAndCompletes) {
-  std::atomic<int> total{0};
-  exec::parallel_for(4, 8, [&](std::size_t) {
-    int local = 0;
-    exec::parallel_for(4, 100, [&](std::size_t) { ++local; });
-    total += local;
-  });
-  EXPECT_EQ(total.load(), 800);
+  // A loop started from a pool task (how every Service request runs) runs
+  // inline: every body on the task's own thread, in index order.  Each body
+  // sleeps so that a loop that fanned out would hand some of them to the
+  // shared pool's workers; the lock keeps that regression a clean failure
+  // rather than a race.
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  std::vector<std::size_t> order;
+  std::thread::id task_thread;
+  std::promise<void> finished;
+  {
+    exec::ThreadPool pool(1);
+    pool.submit([&] {
+      task_thread = std::this_thread::get_id();
+      exec::parallel_for(4, 64, [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::lock_guard<std::mutex> lock(mu);
+        ran_on.push_back(std::this_thread::get_id());
+        order.push_back(i);
+      });
+      finished.set_value();
+    });
+    ASSERT_EQ(finished.get_future().wait_for(std::chrono::seconds(60)),
+              std::future_status::ready);
+  }
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], task_thread);
+  }
+
+  // Three levels deep, every leaf runs exactly once, and an exception
+  // thrown at depth 3 reaches the top-level caller.
+  std::atomic<int> leaves{0};
+  const auto nest3 = [&](std::size_t throw_at) {
+    exec::parallel_for(4, 4, [&](std::size_t i) {
+      exec::parallel_for(4, 4, [&](std::size_t j) {
+        exec::parallel_for(4, 50, [&](std::size_t k) {
+          if (i * 200 + j * 50 + k == throw_at)
+            throw std::runtime_error("depth 3");
+          leaves.fetch_add(1);
+        });
+      });
+    });
+  };
+  nest3(/*throw_at=*/800);  // past the last leaf: nothing throws
+  EXPECT_EQ(leaves.load(), 800);
+  EXPECT_THROW(nest3(/*throw_at=*/2 * 200 + 1 * 50 + 37), std::runtime_error);
 }
 
 TEST(ExecPool, ParallelMapCollectsInSlotOrder) {
