@@ -46,7 +46,7 @@
 // "serve --listen=PORT" is the network mode: it binds a TCP endpoint
 // (port 0 picks an ephemeral port; the resolved address is printed as
 // "listening on HOST:PORT" and flushed before the loop starts, so a parent
-// process can parse it and connect) and runs the src/net/ epoll reactor
+// process can parse it and connect) and runs the src/net/ poll() reactor
 // over the same Service until a client sends a shutdown frame or the
 // process is signalled.  "client --connect=HOST:PORT" is the matching
 // remote mode: it loads the workload over the busytime-wire-v1 protocol

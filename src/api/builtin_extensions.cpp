@@ -1,6 +1,8 @@
 // Registry entries for the Section 5 extensions that share the base Instance
 // model (per-job demands and weighted throughput).  The ring/tree/flexible
 // extensions use different instance types and stay outside the registry.
+#include <algorithm>
+
 #include "api/registry.hpp"
 #include "core/classify.hpp"
 #include "extensions/capacity_demands.hpp"
@@ -16,7 +18,13 @@ void register_extension_solvers(SolverRegistry& registry) {
       0,
       "Demand-aware FirstFit ([16] model): peak concurrent demand <= g per "
       "machine; unit demands recover first_fit semantics",
-      [](const Instance&) { return true; },
+      // The model needs every demand in [1, g]: a larger one fits no machine.
+      [](const Instance& inst) {
+        return std::all_of(inst.jobs().begin(), inst.jobs().end(),
+                           [&](const Job& job) {
+                             return job.demand >= 1 && job.demand <= inst.g();
+                           });
+      },
       /*needs_budget=*/false,
       /*dispatch_priority=*/-1,
       [](const Instance& inst, const SolverSpec&) {

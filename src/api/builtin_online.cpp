@@ -45,14 +45,14 @@ SolverInfo stream_policy_info(std::string name, OnlinePolicy policy,
   info.run = [policy, name](const Instance& inst, const SolverSpec& spec) {
     return from_replay(
         replay_stream(inst, policy, params_from(spec), spec.options.threads,
-                      StreamOptions{}.min_shard_jobs, spec.context.get()),
+                      kMinShardJobs, spec.context.get()),
         inst.size(), name);
   };
   info.run_events = [policy, name](const EventTrace& trace,
                                    const SolverSpec& spec) {
     return from_replay(
         replay_stream(trace, policy, params_from(spec), spec.options.threads,
-                      StreamOptions{}.min_shard_jobs, spec.context.get()),
+                      kMinShardJobs, spec.context.get()),
         trace.size(), name);
   };
   info.consumes = {"threads"};

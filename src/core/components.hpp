@@ -61,11 +61,4 @@ Schedule solve_per_component_parallel(const Instance& inst, Solver&& solve,
   return stitch_component_schedules(inst, components, parts);
 }
 
-/// Sequential per-component solve (the historical entry point); equivalent
-/// to solve_per_component_parallel with threads = 1.
-template <typename Solver>
-Schedule solve_per_component(const Instance& inst, Solver&& solve) {
-  return solve_per_component_parallel(inst, std::forward<Solver>(solve), 1);
-}
-
 }  // namespace busytime

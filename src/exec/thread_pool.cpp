@@ -76,84 +76,25 @@ void ThreadPool::ensure_size(int threads) {
   const int target = std::min(threads, kMaxThreads);
   std::lock_guard<std::mutex> lock(mu_);
   while (static_cast<int>(workers_.size()) < target) {
-    // The worker state exists (at a stable address, in the fixed-capacity
-    // array) before the count publishing it is bumped, so submit round-robin
-    // and steal scans touch only fully constructed slots.
-    const std::size_t index = workers_.size();
-    states_[index] = std::make_unique<WorkerState>();
-    worker_count_.store(static_cast<int>(index) + 1, std::memory_order_release);
-    workers_.emplace_back([this, index] { worker_loop(index); });
+    WorkerTimes& times = times_.emplace_back();
+    workers_.emplace_back([this, &times] { worker_loop(times); });
   }
 }
 
 void ThreadPool::submit(std::function<void()> task) {
   const auto now = std::chrono::steady_clock::now();
-  int count;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back({std::move(task), now});
     ++tasks_submitted_;
-    // pending_ goes up before the task is reachable: a worker that wakes on
-    // the count and scans too early simply misses, re-checks, and is woken
-    // again by the notify below once the push is visible.
-    const std::uint64_t depth =
-        pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-    queue_depth_peak_ = std::max(queue_depth_peak_, depth);
-    count = worker_count_.load(std::memory_order_relaxed);
-    if (count == 0) injection_.push_back({std::move(task), now});
-  }
-  if (count > 0) {
-    const std::size_t target =
-        static_cast<std::size_t>(rr_.fetch_add(1, std::memory_order_relaxed) %
-                                 static_cast<std::uint64_t>(count));
-    WorkerState& ws = *states_[target];
-    std::lock_guard<std::mutex> lock(ws.mu);
-    ws.deque.push_back({std::move(task), now});
+    queue_depth_peak_ =
+        std::max<std::uint64_t>(queue_depth_peak_, queue_.size());
   }
   cv_.notify_one();
 }
 
-bool ThreadPool::try_acquire(std::size_t worker, Task& out) {
-  WorkerState& self = *states_[worker];
-  {
-    std::lock_guard<std::mutex> lock(self.mu);
-    if (!self.deque.empty()) {
-      out = std::move(self.deque.front());
-      self.deque.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!injection_.empty()) {
-      out = std::move(injection_.front());
-      injection_.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  const int count = worker_count_.load(std::memory_order_acquire);
-  for (int off = 1; off < count; ++off) {
-    const std::size_t victim =
-        (worker + static_cast<std::size_t>(off)) % static_cast<std::size_t>(count);
-    WorkerState& v = *states_[victim];
-    std::lock_guard<std::mutex> lock(v.mu);
-    if (!v.deque.empty()) {
-      // Steal the victim's *oldest* task: FIFO-fair, and the best candidate
-      // to have waited long enough to be worth moving across caches.
-      out = std::move(v.deque.front());
-      v.deque.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t worker) {
+void ThreadPool::worker_loop(WorkerTimes& times) {
   tls_in_worker = true;
-  WorkerState& self = *states_[worker];
   const auto elapsed_ns = [](std::chrono::steady_clock::time_point from,
                              std::chrono::steady_clock::time_point to) {
     return static_cast<std::uint64_t>(
@@ -163,21 +104,21 @@ void ThreadPool::worker_loop(std::size_t worker) {
   for (;;) {
     Task task;
     const auto idle_start = std::chrono::steady_clock::now();
-    while (!try_acquire(worker, task)) {
+    {
       std::unique_lock<std::mutex> lock(mu_);
-      if (stopping_ && pending_.load(std::memory_order_relaxed) == 0) {
-        self.idle_ns.fetch_add(
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) {  // stopping, and every queued task has run
+        times.idle_ns.fetch_add(
             elapsed_ns(idle_start, std::chrono::steady_clock::now()),
             std::memory_order_relaxed);
         return;
       }
-      cv_.wait(lock, [this] {
-        return stopping_ || pending_.load(std::memory_order_relaxed) > 0;
-      });
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     const auto run_start = std::chrono::steady_clock::now();
-    self.idle_ns.fetch_add(elapsed_ns(idle_start, run_start),
-                           std::memory_order_relaxed);
+    times.idle_ns.fetch_add(elapsed_ns(idle_start, run_start),
+                            std::memory_order_relaxed);
     const std::uint64_t wait_ns = elapsed_ns(task.enqueued, run_start);
     queue_wait_ns_total_.fetch_add(wait_ns, std::memory_order_relaxed);
     std::uint64_t seen = queue_wait_ns_max_.load(std::memory_order_relaxed);
@@ -185,7 +126,7 @@ void ThreadPool::worker_loop(std::size_t worker) {
                                  seen, wait_ns, std::memory_order_relaxed)) {
     }
     task.fn();
-    self.busy_ns.fetch_add(
+    times.busy_ns.fetch_add(
         elapsed_ns(run_start, std::chrono::steady_clock::now()),
         std::memory_order_relaxed);
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -201,14 +142,11 @@ PoolStats ThreadPool::stats() const {
   s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
   s.queue_wait_ns_total = queue_wait_ns_total_.load(std::memory_order_relaxed);
   s.queue_wait_ns_max = queue_wait_ns_max_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
-  s.worker_busy_ns.reserve(workers_.size());
-  s.worker_idle_ns.reserve(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    const std::uint64_t busy =
-        states_[i]->busy_ns.load(std::memory_order_relaxed);
-    const std::uint64_t idle =
-        states_[i]->idle_ns.load(std::memory_order_relaxed);
+  s.worker_busy_ns.reserve(times_.size());
+  s.worker_idle_ns.reserve(times_.size());
+  for (const WorkerTimes& times : times_) {
+    const std::uint64_t busy = times.busy_ns.load(std::memory_order_relaxed);
+    const std::uint64_t idle = times.idle_ns.load(std::memory_order_relaxed);
     s.worker_busy_ns.push_back(busy);
     s.worker_idle_ns.push_back(idle);
     s.busy_ns_total += busy;

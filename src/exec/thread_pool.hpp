@@ -1,9 +1,9 @@
-// Parallel execution layer: a fixed-size worker pool with per-worker deques
-// and work stealing, plus deterministic parallel_for / parallel_map helpers.
+// Parallel execution layer: a fixed-size worker pool over one FIFO task
+// queue, plus the deterministic parallel_for helper.
 //
 // Everything above this layer (per-component solving, the sharded stream
 // driver, the CLI's side-by-side solver runs) obeys one contract:
-// *parallelism never changes results*.  The helpers make that easy to keep:
+// *parallelism never changes results*.  The helper makes that easy to keep:
 //
 //  * parallel_for(i) is expected to write only into slot i of caller-owned
 //    storage, so any interleaving reproduces the sequential loop's output;
@@ -11,18 +11,16 @@
 //    run in index order on the calling thread;
 //  * a parallel_for started on a pool worker — a body of an outer loop, or
 //    a pool task such as a Service request — runs inline on that worker.
-//    Solver code may use the helpers freely without deadlock analysis, and
+//    Solver code may use the helper freely without deadlock analysis, and
 //    a pooled request's time follows one CPU's speed rather than how many
 //    of the host's CPUs happen to be free: on a shared host the latter
 //    swings from one minute to the next, and a request that fanned out
 //    would swing with it.
 //
-// Work stealing is invisible under that contract: *which worker* runs a task
-// never affects results, only wall time, so an idle worker lifting the
-// oldest task from a loaded neighbour's deque (uneven component sizes leave
-// some drain shares much longer than others) is pure load balance.  Steals
-// are counted in PoolStats (`steals`, published as the exec.steals gauge) —
-// scheduling-dependent, like the durations, never gated.
+// The pool does no load balancing of its own: its callers already balance
+// their work.  A parallel_for's helper tasks drain the loop's shared index
+// cursor, and a Service's request workers drain its fair-share scheduler,
+// so which idle worker starts a task never matters.
 //
 // Thread-count knobs: 0 means "the process default", which is the
 // BUSYTIME_THREADS environment variable when set (itself 0 = hardware
@@ -30,7 +28,6 @@
 // set_default_threads (the CLI's --threads flag).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -38,7 +35,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -71,30 +67,20 @@ int resolve_threads(int requested) noexcept;
 void parallel_for(int threads, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
-/// parallel_for that collects fn(i) into slot i of the returned vector.
-template <typename T, typename Fn>
-std::vector<T> parallel_map(int threads, std::size_t n, Fn&& fn) {
-  std::vector<T> out(n);
-  parallel_for(threads, n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
-
 /// A point-in-time sample of one pool's execution accounting (see
 /// ThreadPool::stats()).  All counters are cumulative since the pool
 /// started; diff two samples for an interval.  Durations are wall-clock
 /// nanoseconds and naturally vary run to run — only the task counters are
-/// deterministic for a deterministic workload (`steals` is scheduling-
-/// dependent and varies like the durations).
+/// deterministic for a deterministic workload.
 struct PoolStats {
   int workers = 0;                       ///< worker threads started
   std::uint64_t tasks_submitted = 0;     ///< tasks handed to the pool
   std::uint64_t tasks_executed = 0;      ///< tasks a worker finished
-  std::uint64_t queue_depth_peak = 0;    ///< most tasks outstanding at once
-                                         ///< (across all worker deques)
+  std::uint64_t queue_depth_peak = 0;    ///< most tasks queued at once
   std::uint64_t queue_wait_ns_total = 0; ///< enqueue-to-pickup, summed
   std::uint64_t queue_wait_ns_max = 0;   ///< worst single task wait
-  std::uint64_t steals = 0;              ///< tasks run by a worker other than
-                                         ///< the one they were queued to
+  std::uint64_t steals = 0;              ///< always 0 (one queue, nothing to
+                                         ///< steal); kept for old readers
   std::uint64_t busy_ns_total = 0;       ///< worker time running tasks
   std::uint64_t idle_ns_total = 0;       ///< worker time parked on the queue
   std::vector<std::uint64_t> worker_busy_ns;  ///< per-worker busy split
@@ -111,24 +97,16 @@ struct PoolStats {
   }
 };
 
-/// Fixed-size worker pool with one FIFO deque per worker and work stealing.
-/// parallel_for drives a shared process-wide instance (ThreadPool::shared())
-/// that grows on demand up to kMaxThreads and is reused across calls, so
-/// repeated solves pay no thread start-up cost.
-///
-/// submit() round-robins tasks across the worker deques; a worker drains its
-/// own deque front-first and, when empty, steals the *oldest* task from the
-/// first non-empty neighbour (FIFO-fair: stealing preserves submission-age
-/// order per deque, so queue-wait accounting stays meaningful).  Worker
-/// state lives in a fixed-capacity array, so stealing never races storage
-/// growth.
+/// Fixed-size worker pool over one FIFO queue.  parallel_for drives a
+/// shared process-wide instance (ThreadPool::shared()) that grows on demand
+/// up to kMaxThreads and is reused across calls, so repeated solves pay no
+/// thread start-up cost.
 ///
 /// The pool keeps its own execution accounting — per-worker busy/idle time,
-/// outstanding-task depth, queue wait, steals — sampled via stats().  The
-/// write path is two clock reads and a few relaxed atomics per *task*
-/// (tasks are coarse: whole requests, parallel_for drain shares), so it
-/// stays on in release builds; src/obs/ publishes samples into the exec.*
-/// gauges.
+/// queue depth, queue wait — sampled via stats().  The write path is two
+/// clock reads and a few relaxed atomics per *task* (tasks are coarse: whole
+/// requests, parallel_for drain shares), so it stays on in release builds;
+/// src/obs/ publishes samples into the exec.* gauges.
 class ThreadPool {
  public:
   /// An empty pool (no workers); grow it with ensure_size.
@@ -147,9 +125,9 @@ class ThreadPool {
   /// kMaxThreads).
   void ensure_size(int threads);
 
-  /// Enqueues a task.  Tasks land on worker deques round-robin and run in
-  /// FIFO order per deque (stealing takes the oldest first); a pool with no
-  /// workers holds tasks until ensure_size adds one.
+  /// Enqueues a task.  Tasks start in FIFO order; a pool with no workers
+  /// holds them until ensure_size adds one.  The destructor runs every task
+  /// still queued before it returns.
   void submit(std::function<void()> task);
 
   /// A consistent-enough accounting sample (aggregate fields are read under
@@ -166,46 +144,31 @@ class ThreadPool {
     std::function<void()> fn;
     std::chrono::steady_clock::time_point enqueued;
   };
-  /// Per-worker state, cache-line padded: the deque, its lock, and the time
-  /// accounting.  Allocated (at a stable address) before the worker starts.
-  struct alignas(64) WorkerState {
-    std::mutex mu;
-    std::deque<Task> deque;
+  /// One worker's time accounting, cache-line padded.  Held in a deque so
+  /// a worker's reference stays valid while the pool grows.
+  struct alignas(64) WorkerTimes {
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> idle_ns{0};
   };
 
-  void worker_loop(std::size_t worker);
-  /// Own deque front, then the injection queue, then steal the oldest task
-  /// from the first non-empty victim.  False when every queue is empty.
-  bool try_acquire(std::size_t worker, Task& out);
+  void worker_loop(WorkerTimes& times);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::thread> workers_;
-  /// Fixed-capacity worker-state storage: slots are written under mu_ and
-  /// published via worker_count_, so steal scans over [0, count) never race
-  /// container growth (a vector's realloc would move state under a thief).
-  std::array<std::unique_ptr<WorkerState>, kMaxThreads> states_;
-  std::atomic<int> worker_count_{0};
-  /// Tasks submitted while the pool had no workers; drained (under mu_)
-  /// before stealing.
-  std::deque<Task> injection_;
+  std::deque<WorkerTimes> times_;  ///< one per worker, in start order
+  std::deque<Task> queue_;
   bool stopping_ = false;
 
   // Accounting.  submitted/depth-peak are written under mu_ (plain);
-  // executed/wait/steals are written by workers off-lock (atomic).
-  // pending_ counts outstanding tasks across every queue: incremented
-  // *before* a task is pushed (so the count never underflows at the
-  // decrement after removal) and used as the workers' parking predicate.
-  std::atomic<std::uint64_t> pending_{0};
-  std::atomic<std::uint64_t> rr_{0};  ///< round-robin submit cursor
+  // executed/wait are written by workers off-lock (atomic).
   std::uint64_t tasks_submitted_ = 0;
   std::uint64_t queue_depth_peak_ = 0;
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<std::uint64_t> queue_wait_ns_total_{0};
   std::atomic<std::uint64_t> queue_wait_ns_max_{0};
-  std::atomic<std::uint64_t> steals_{0};
+
+  /// Declared after everything the workers touch.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace busytime::exec

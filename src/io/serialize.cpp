@@ -38,6 +38,19 @@ class LineReader {
   int line_number_ = 0;
 };
 
+/// True when nothing but whitespace is left on the line.
+bool at_end(std::istringstream& tokens) {
+  tokens >> std::ws;
+  return tokens.eof();
+}
+
+/// Every record must use up its whole line: a token left over is a field
+/// the format does not have, or a field that failed to parse.
+void expect_end(std::istringstream& tokens, int line, const std::string& what) {
+  if (!at_end(tokens))
+    throw ParseError(line, "unexpected trailing input in '" + what + "' line");
+}
+
 }  // namespace
 
 void write_instance(std::ostream& os, const Instance& inst) {
@@ -65,6 +78,7 @@ Instance read_instance_impl(std::istream& is, std::vector<CancelRecord>* cancels
   tokens >> magic >> version;
   if (magic != "busytime-instance" || version != "v1")
     throw ParseError(reader.line(), "expected 'busytime-instance v1' header");
+  expect_end(tokens, reader.line(), magic);
 
   struct PendingRecord {
     int line = 0;
@@ -94,11 +108,15 @@ Instance read_instance_impl(std::istream& is, std::vector<CancelRecord>* cancels
           static_cast<std::uint64_t>(std::numeric_limits<Time>::max()))
         throw ParseError(reader.line(), "job length overflows the time type");
       Job job(start, completion);
-      if (tokens >> job.weight) {
+      if (!at_end(tokens)) {
+        if (!(tokens >> job.weight))
+          throw ParseError(reader.line(), "job weight must be an integer");
         if (job.weight < 0) throw ParseError(reader.line(), "negative weight");
-        if (tokens >> job.demand) {
-          if (job.demand < 1) throw ParseError(reader.line(), "demand must be >= 1");
-        }
+      }
+      if (!at_end(tokens)) {
+        if (!(tokens >> job.demand))
+          throw ParseError(reader.line(), "job demand must be an integer");
+        if (job.demand < 1) throw ParseError(reader.line(), "demand must be >= 1");
       }
       jobs.push_back(job);
     } else if (keyword == "cancel" || keyword == "preempt") {
@@ -114,6 +132,7 @@ Instance read_instance_impl(std::istream& is, std::vector<CancelRecord>* cancels
     } else {
       throw ParseError(reader.line(), "unknown keyword '" + keyword + "'");
     }
+    expect_end(tokens, reader.line(), keyword);
   }
   if (g < 1) throw ParseError(reader.line(), "missing 'g' line");
   for (const PendingRecord& record : records) {
@@ -164,6 +183,7 @@ Schedule read_schedule(std::istream& is, std::size_t expected_jobs) {
   tokens >> magic >> version;
   if (magic != "busytime-schedule" || version != "v1")
     throw ParseError(reader.line(), "expected 'busytime-schedule v1' header");
+  expect_end(tokens, reader.line(), magic);
 
   std::size_t n = 0;
   bool have_n = false;
@@ -189,6 +209,7 @@ Schedule read_schedule(std::istream& is, std::size_t expected_jobs) {
     } else {
       throw ParseError(reader.line(), "unknown keyword '" + keyword + "'");
     }
+    expect_end(tokens, reader.line(), keyword);
   }
   if (!have_n) throw ParseError(reader.line(), "missing 'n' line");
   return s;

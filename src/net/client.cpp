@@ -127,17 +127,15 @@ Frame Client::request(MsgType type, const std::string& payload,
 void Client::ping() { request(MsgType::kPing, {}, MsgType::kPong); }
 
 RemoteHandle Client::load(const Instance& inst) {
-  const Frame response =
-      request(MsgType::kLoadInstance, to_payload(inst), MsgType::kHandle);
-  obinstream m(response.payload);
-  RemoteHandle handle;
-  m >> handle.id >> handle.jobs >> handle.g;
-  return handle;
+  return load_payload(MsgType::kLoadInstance, to_payload(inst));
 }
 
 RemoteHandle Client::load_trace(const EventTrace& trace) {
-  const Frame response =
-      request(MsgType::kLoadTrace, to_payload(trace), MsgType::kHandle);
+  return load_payload(MsgType::kLoadTrace, to_payload(trace));
+}
+
+RemoteHandle Client::load_payload(MsgType type, const std::string& payload) {
+  const Frame response = request(type, payload, MsgType::kHandle);
   obinstream m(response.payload);
   RemoteHandle handle;
   m >> handle.id >> handle.jobs >> handle.g;

@@ -61,6 +61,8 @@ class Client {
   /// Sends one frame, blocks for the response, unwraps kError into a thrown
   /// RemoteError, and checks the response type.
   Frame request(MsgType type, const std::string& payload, MsgType expect);
+  /// Sends a load request and reads back the handle it created.
+  RemoteHandle load_payload(MsgType type, const std::string& payload);
   void send_all(const std::string& bytes);
   Frame read_frame();
 

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -13,21 +14,13 @@
 #include <stdexcept>
 #include <utility>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define BUSYTIME_NET_EPOLL 1
-#else
-#include <poll.h>
-#define BUSYTIME_NET_EPOLL 0
-#endif
-
 #include "api/registry.hpp"
 
 namespace busytime::net {
 
 namespace {
 
-/// Sentinel ids in the event set (connection ids start at 1).
+/// Sentinel ids in the poll set (connection ids start at 1).
 constexpr std::uint64_t kListenId = 0;
 constexpr std::uint64_t kWakeId = ~std::uint64_t{0};
 
@@ -104,7 +97,6 @@ Server::~Server() {
     if (conn->fd >= 0) ::close(conn->fd);
   conns_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   // channel_ closes the wake write end when the last callback releases it.
 }
@@ -176,70 +168,6 @@ void Server::begin_drain() {
   }
 }
 
-#if BUSYTIME_NET_EPOLL
-
-void Server::poll_once() {
-  if (epoll_fd_ < 0) {
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ < 0) throw NetError(errno_string("epoll_create1"));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeId;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_read_fd_, &ev);
-  }
-  if (listen_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kListenId;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0 &&
-        errno != EEXIST)
-      throw NetError(errno_string("epoll_ctl(listen)"));
-  }
-  // Refresh per-connection interest each tick (ADD newcomers, MOD the
-  // rest).  O(connections) epoll_ctl calls; at this tier's connection
-  // counts that is noise next to a single solve.
-  for (const auto& [id, conn] : conns_) {
-    epoll_event ev{};
-    ev.events = 0;
-    if (!conn->read_closed && !conn->decoder.poisoned()) ev.events |= EPOLLIN;
-    if (conn->out_pos < conn->out.size()) ev.events |= EPOLLOUT;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->fd, &ev) != 0 &&
-        errno == EEXIST)
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-  }
-
-  epoll_event events[64];
-  const int n = ::epoll_wait(epoll_fd_, events, 64, kPollTimeoutMs);
-  if (n < 0) {
-    if (errno == EINTR) return;
-    throw NetError(errno_string("epoll_wait"));
-  }
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t id = events[i].data.u64;
-    if (id == kWakeId) {
-      char buf[256];
-      while (::recv(wake_read_fd_, buf, sizeof(buf), 0) > 0) {
-      }
-      continue;
-    }
-    if (id == kListenId) {
-      accept_ready();
-      continue;
-    }
-    // The connection may have been closed by an earlier event in this batch.
-    auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    if (events[i].events & EPOLLOUT) handle_writable(*it->second);
-    it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    if (events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP))
-      handle_readable(*it->second);
-  }
-}
-
-#else  // poll() fallback
-
 void Server::poll_once() {
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> ids;
@@ -284,8 +212,6 @@ void Server::poll_once() {
   }
 }
 
-#endif  // BUSYTIME_NET_EPOLL
-
 // ------------------------------------------------------------- connections
 
 void Server::accept_ready() {
@@ -312,13 +238,7 @@ void Server::close_connection(std::uint64_t conn_id) {
   // The handle table dies with the connection: this is the release-on-
   // disconnect contract.  Any still-running solve keeps its own ref on the
   // InstanceHandle; its completion is dropped on arrival.
-  if (it->second->fd >= 0) {
-#if BUSYTIME_NET_EPOLL
-    if (epoll_fd_ >= 0)
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
-#endif
-    ::close(it->second->fd);
-  }
+  if (it->second->fd >= 0) ::close(it->second->fd);
   conns_.erase(it);
   open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -404,39 +324,13 @@ void Server::dispatch_frame(Connection& conn, Frame frame) {
       fill_reply(conn, seq, encode_frame(MsgType::kPong));
       return;
 
-    case MsgType::kLoadInstance: {
-      try {
-        Instance inst = from_payload<Instance>(frame.payload);
-        const std::uint64_t jobs = inst.size();
-        const std::int32_t g = inst.g();
-        const std::uint64_t id = conn.next_handle++;
-        conn.handles.emplace(id, service_.load(std::move(inst)));
-        ibinstream body;
-        body << id << jobs << g;
-        fill_reply(conn, seq, encode_frame(MsgType::kHandle, body.buffer()));
-      } catch (const std::exception& e) {
-        decode_errors_.inc();
-        reply_error(conn, seq, WireErrorCode::kBadPayload, e.what());
-      }
+    case MsgType::kLoadInstance:
+      dispatch_load<Instance>(conn, seq, frame.payload);
       return;
-    }
 
-    case MsgType::kLoadTrace: {
-      try {
-        EventTrace trace = from_payload<EventTrace>(frame.payload);
-        const std::uint64_t jobs = trace.size();
-        const std::int32_t g = trace.g();
-        const std::uint64_t id = conn.next_handle++;
-        conn.handles.emplace(id, service_.load(std::move(trace)));
-        ibinstream body;
-        body << id << jobs << g;
-        fill_reply(conn, seq, encode_frame(MsgType::kHandle, body.buffer()));
-      } catch (const std::exception& e) {
-        decode_errors_.inc();
-        reply_error(conn, seq, WireErrorCode::kBadPayload, e.what());
-      }
+    case MsgType::kLoadTrace:
+      dispatch_load<EventTrace>(conn, seq, frame.payload);
       return;
-    }
 
     case MsgType::kSolve:
       dispatch_solve(conn, frame.payload);
@@ -488,6 +382,24 @@ void Server::dispatch_frame(Connection& conn, Frame frame) {
       reply_error(conn, seq, WireErrorCode::kUnknownMessage,
                   "unexpected frame type " + to_string(frame.type));
       return;
+  }
+}
+
+template <typename Workload>
+void Server::dispatch_load(Connection& conn, std::uint64_t seq,
+                           const std::string& payload) {
+  try {
+    Workload workload = from_payload<Workload>(payload);
+    const std::uint64_t jobs = workload.size();
+    const std::int32_t g = workload.g();
+    const std::uint64_t id = conn.next_handle++;
+    conn.handles.emplace(id, service_.load(std::move(workload)));
+    ibinstream body;
+    body << id << jobs << g;
+    fill_reply(conn, seq, encode_frame(MsgType::kHandle, body.buffer()));
+  } catch (const std::exception& e) {
+    decode_errors_.inc();
+    reply_error(conn, seq, WireErrorCode::kBadPayload, e.what());
   }
 }
 

@@ -1,9 +1,11 @@
-// The serving reactor: a single-threaded epoll (poll fallback) TCP front
-// over a busytime::Service.
+// The serving reactor: a single-threaded poll() TCP front over a
+// busytime::Service.
 //
-// One thread owns every socket.  The loop accepts connections, feeds bytes
-// into a per-connection FrameDecoder, and dispatches complete request
-// frames.  Cheap requests (ping, load, list, release) are answered inline;
+// One thread owns every socket.  Each tick builds the poll set afresh from
+// the connection table and waits in one poll() call; no interest list is
+// kept in the kernel.  The loop accepts connections, feeds bytes into a
+// per-connection FrameDecoder, and dispatches complete request frames.
+// Cheap requests (ping, load, list, release) are answered inline;
 // solves go through Service::submit(handle, spec, callback) so they run on
 // the Service's worker pool while the reactor keeps reading — the callback
 // pushes the encoded response into a completion queue and wakes the loop
@@ -135,6 +137,11 @@ class Server {
   void handle_readable(Connection& conn);
   void handle_writable(Connection& conn);
   void dispatch_frame(Connection& conn, Frame frame);
+  /// Decodes a Workload (Instance or EventTrace) payload, loads it into the
+  /// Service and answers with the new connection-scoped handle.
+  template <typename Workload>
+  void dispatch_load(Connection& conn, std::uint64_t seq,
+                     const std::string& payload);
   void dispatch_solve(Connection& conn, const std::string& payload);
 
   /// Reserves the next in-order reply slot; returns its sequence number.
@@ -157,7 +164,6 @@ class Server {
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
-  int epoll_fd_ = -1;  ///< lazily created by the epoll backend; unused under poll
 
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;

@@ -30,9 +30,6 @@ const std::vector<MetricDef>& builtin_metric_defs() {
        "Longest a task sat queued before a worker picked it up, microseconds"},
       {metric::kExecQueueWaitUsTotal, MetricKind::kGauge,
        "Total queued-task wait time, microseconds (pool sample)"},
-      {metric::kExecSteals, MetricKind::kGauge,
-       "Tasks run by a worker other than the one they were queued to "
-       "(pool sample; scheduling-dependent, varies run to run)"},
       {metric::kExecTasksExecuted, MetricKind::kGauge,
        "Tasks the pool's workers have finished (pool sample)"},
       {metric::kExecTasksSubmitted, MetricKind::kGauge,
@@ -319,8 +316,6 @@ void publish_pool_stats(const exec::PoolStats& stats,
   registry.gauge(metric::kExecQueueWaitUsTotal)
       .set(us(stats.queue_wait_ns_total));
   registry.gauge(metric::kExecQueueWaitUsMax).set(us(stats.queue_wait_ns_max));
-  registry.gauge(metric::kExecSteals)
-      .set(static_cast<std::int64_t>(stats.steals));
 }
 
 }  // namespace busytime::obs

@@ -101,7 +101,6 @@ inline constexpr char kExecBusyUsTotal[] = "exec.busy_us_total";
 inline constexpr char kExecIdleUsTotal[] = "exec.idle_us_total";
 inline constexpr char kExecQueueWaitUsTotal[] = "exec.queue_wait_us_total";
 inline constexpr char kExecQueueWaitUsMax[] = "exec.queue_wait_us_max";
-inline constexpr char kExecSteals[] = "exec.steals";
 inline constexpr char kNetConnections[] = "net.connections";
 inline constexpr char kNetFramesIn[] = "net.frames_in";
 inline constexpr char kNetFramesOut[] = "net.frames_out";

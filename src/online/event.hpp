@@ -3,18 +3,18 @@
 // The online setting (cf. the serving scenarios behind the paper's cloud and
 // optical applications) reveals jobs one at a time, at their start instants;
 // a scheduler must commit each job to a machine without knowledge of future
-// arrivals.  A JobStream adapts an offline Instance to that model by
-// replaying its jobs in non-decreasing start order, which is exactly the
-// order a real arrival process would deliver them in.
+// arrivals.  Replaying an offline Instance in non-decreasing start order
+// (Instance::ids_by_start) is exactly the order a real arrival process would
+// deliver its jobs in.
 //
 // Production streams also *retract* work: a job may be cancelled by its
 // owner or preempted by the system before its advertised completion.  An
-// EventTrace pairs an arrival Instance with a list of CancelRecords; an
-// EventStream merges the two into one time-ordered event sequence.  The
-// engine handles retractions incrementally (busy-time refunds, slot
-// releases) rather than by replaying from scratch — the same
-// maintain-under-deletions discipline as incremental UTVPI satisfiability
-// (Schutt & Stuckey), applied to busy-time accounting.
+// EventTrace pairs an arrival Instance with a list of CancelRecords; the
+// replay (online/stream_driver) merges the two into one time-ordered event
+// sequence by retraction_precedes_arrival.  The engine handles retractions
+// incrementally (busy-time refunds, slot releases) rather than by replaying
+// from scratch — the same maintain-under-deletions discipline as incremental
+// UTVPI satisfiability (Schutt & Stuckey), applied to busy-time accounting.
 #pragma once
 
 #include <cstddef>
@@ -52,29 +52,6 @@ struct CancelRecord {
   friend bool operator!=(const CancelRecord& a, const CancelRecord& b) noexcept {
     return !(a == b);
   }
-};
-
-/// Replays an Instance as a time-ordered arrival stream.
-class JobStream {
- public:
-  explicit JobStream(const Instance& inst)
-      : inst_(&inst), order_(inst.ids_by_start()) {}
-
-  bool done() const noexcept { return pos_ >= order_.size(); }
-  std::size_t remaining() const noexcept { return order_.size() - pos_; }
-  std::size_t size() const noexcept { return order_.size(); }
-
-  /// Next arrival; must not be called when done().  Starts are
-  /// non-decreasing across successive calls by construction.
-  ArrivalEvent next() {
-    const JobId id = order_[pos_++];
-    return ArrivalEvent{id, inst_->job(id)};
-  }
-
- private:
-  const Instance* inst_;
-  std::vector<JobId> order_;
-  std::size_t pos_ = 0;
 };
 
 /// An arrival instance plus interleaved cancellation/preemption records —
@@ -135,77 +112,13 @@ class EventTrace {
   std::shared_ptr<ResidualCache> cache_ = std::make_shared<ResidualCache>();
 };
 
-/// Kinds of events an EventStream delivers.
-enum class EventKind { kArrival, kCancel, kPreempt };
-
-/// The canonical merge rule for interleaving retractions with arrivals; the
-/// single definition EventStream and the sharded replay both use, so the
-/// tie-break the sharded-equals-sequential contract depends on cannot
-/// diverge between them.  At equal instants retractions come first: a job
-/// cancelled at t is not running at t (half-open intervals), so its slot is
-/// free for a job arriving at t.
+/// The canonical merge rule for interleaving retractions with arrivals.  At
+/// equal instants retractions come first: a job cancelled at t is not
+/// running at t (half-open intervals), so its slot is free for a job
+/// arriving at t.
 constexpr bool retraction_precedes_arrival(Time cancel_at,
                                            Time arrival_start) noexcept {
   return cancel_at <= arrival_start;
 }
-
-/// One merged stream event.  For arrivals, time == job.start(); for
-/// retractions, time is the cancel instant and `job` is the original job
-/// (the scheduler needs its advertised completion to find the running copy).
-struct StreamEvent {
-  EventKind kind = EventKind::kArrival;
-  Time time = 0;
-  JobId id = 0;
-  Job job;
-};
-
-/// Replays an EventTrace as one time-ordered event stream, in the
-/// retraction_precedes_arrival merge order.
-class EventStream {
- public:
-  explicit EventStream(const EventTrace& trace)
-      : trace_(&trace), order_(trace.base().ids_by_start()) {}
-
-  bool done() const noexcept {
-    return apos_ >= order_.size() && cpos_ >= trace_->cancels().size();
-  }
-  std::size_t remaining() const noexcept {
-    return (order_.size() - apos_) + (trace_->cancels().size() - cpos_);
-  }
-  std::size_t size() const noexcept {
-    return order_.size() + trace_->cancels().size();
-  }
-
-  /// Next event; must not be called when done().  Times are non-decreasing
-  /// across successive calls.
-  StreamEvent next() {
-    const auto& cancels = trace_->cancels();
-    const bool take_cancel =
-        cpos_ < cancels.size() &&
-        (apos_ >= order_.size() ||
-         retraction_precedes_arrival(
-             cancels[cpos_].at, trace_->base().job(order_[apos_]).start()));
-    StreamEvent ev;
-    if (take_cancel) {
-      const CancelRecord& record = cancels[cpos_++];
-      ev.kind = record.preempt ? EventKind::kPreempt : EventKind::kCancel;
-      ev.time = record.at;
-      ev.id = record.job;
-      ev.job = trace_->base().job(record.job);
-    } else {
-      ev.kind = EventKind::kArrival;
-      ev.id = order_[apos_++];
-      ev.job = trace_->base().job(ev.id);
-      ev.time = ev.job.start();
-    }
-    return ev;
-  }
-
- private:
-  const EventTrace* trace_;
-  std::vector<JobId> order_;
-  std::size_t apos_ = 0;
-  std::size_t cpos_ = 0;
-};
 
 }  // namespace busytime

@@ -31,7 +31,6 @@
 
 #include "core/schedule.hpp"
 #include "online/engine_stats.hpp"
-#include "online/event.hpp"
 #include "online/machine_pool.hpp"
 
 namespace busytime {
@@ -59,15 +58,6 @@ class OnlineScheduler {
   /// second retraction) are counted as ignored.  `at` must be monotone with
   /// the other events.
   void on_cancel(JobId id, const Job& job, Time at, bool preempt = false);
-
-  /// Feeds one merged stream event (arrival or retraction).
-  void on_event(const StreamEvent& ev) {
-    if (ev.kind == EventKind::kArrival) {
-      on_arrival(ev.id, ev.job);
-    } else {
-      on_cancel(ev.id, ev.job, ev.time, ev.kind == EventKind::kPreempt);
-    }
-  }
 
   /// Commits any deferred jobs (no-op for the pure greedy policies).  Must
   /// be called once after the last event before reading the schedule.

@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <sstream>
 
-#include "algo/dispatch.hpp"
-#include "core/bounds.hpp"
-#include "core/validate.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/hooks.hpp"
 
@@ -135,7 +131,7 @@ ReplayResult replay_events(const Instance& trace,
     const auto s0 = std::chrono::steady_clock::now();
     const auto sched = make_scheduler(policy, trace.g(), params);
     // Merge the shard's arrivals with its retractions in the canonical
-    // stream order (the same rule EventStream applies).
+    // stream order.
     std::size_t a = shards[s].begin;
     std::size_t c = shards[s].cancel_begin;
     while (a < shards[s].end || c < shards[s].cancel_end) {
@@ -226,81 +222,6 @@ ReplayResult replay_events(const Instance& trace,
   return result;
 }
 
-StreamReport run_events(const Instance& trace,
-                        const std::vector<CancelRecord>& cancels,
-                        const Instance& residual, OnlinePolicy policy,
-                        const StreamOptions& options) {
-  StreamReport report;
-  report.policy = policy;
-  report.jobs = trace.size();
-  report.cancels = cancels.size();
-
-  // Warm the memoized arrival order outside the timed region (the
-  // sequential driver's JobStream constructor historically sorted before
-  // the clock started).
-  if (!trace.empty()) trace.ids_by_start();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  ReplayResult replay =
-      replay_events(trace, cancels, policy, options.policy, options.threads,
-                    options.min_shard_jobs, nullptr);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  report.stats = replay.stats;
-  report.online_cost = report.stats.online_cost;
-  report.threads = replay.threads;
-  report.shards = replay.shards;
-  report.elapsed_sec = std::chrono::duration<double>(t1 - t0).count();
-  report.jobs_per_sec = report.elapsed_sec > 0
-                            ? static_cast<double>(report.jobs) / report.elapsed_sec
-                            : 0;
-  report.ratio_to_lb = ratio_to_lower_bound(residual, report.online_cost);
-  if (options.validate) report.valid = is_valid(residual, replay.schedule);
-
-  // Offline comparison on a prefix of the same stream, against the residual
-  // workload (what actually ran).
-  const std::size_t k = std::min(options.offline_prefix, trace.size());
-  if (k > 0) {
-    std::vector<JobId> prefix_order = trace.ids_by_start();
-    prefix_order.resize(k);
-    report.prefix_jobs = k;
-    if (k == trace.size()) {
-      // A full-trace prefix needs no second replay: its online cost is the
-      // one just measured.
-      report.prefix_online_cost = report.online_cost;
-      report.prefix_offline_cost =
-          solve_minbusy_auto(residual).schedule.cost(residual);
-    } else {
-      const Instance prefix = trace.restricted_to(prefix_order);
-      // Renumber the prefix's retractions: restricted_to assigns new id k to
-      // the job at position k of the start order.
-      std::vector<std::size_t> pos_by_id(trace.size(),
-                                         std::numeric_limits<std::size_t>::max());
-      const auto& order = trace.ids_by_start();
-      for (std::size_t p = 0; p < k; ++p)
-        pos_by_id[static_cast<std::size_t>(order[p])] = p;
-      std::vector<CancelRecord> prefix_cancels;
-      for (const CancelRecord& record : cancels) {
-        const std::size_t pos = pos_by_id[static_cast<std::size_t>(record.job)];
-        if (pos >= k) continue;
-        prefix_cancels.push_back({static_cast<JobId>(pos), record.at, record.preempt});
-      }
-      const EventTrace prefix_trace(prefix, std::move(prefix_cancels));
-      report.prefix_online_cost =
-          replay_stream(prefix_trace, policy, options.policy, 1).stats.online_cost;
-      const Instance prefix_residual = prefix_trace.residual();
-      report.prefix_offline_cost =
-          solve_minbusy_auto(prefix_residual).schedule.cost(prefix_residual);
-    }
-    if (report.prefix_offline_cost > 0) {
-      report.competitive_ratio =
-          static_cast<double>(report.prefix_online_cost) /
-          static_cast<double>(report.prefix_offline_cost);
-    }
-  }
-  return report;
-}
-
 }  // namespace
 
 ReplayResult replay_stream(const Instance& trace, OnlinePolicy policy,
@@ -317,33 +238,6 @@ ReplayResult replay_stream(const EventTrace& trace, OnlinePolicy policy,
                            const RequestContext* context) {
   return replay_events(trace.base(), trace.cancels(), policy, params, threads,
                        min_shard_jobs, context);
-}
-
-StreamReport run_stream(const Instance& trace, OnlinePolicy policy,
-                        const StreamOptions& options) {
-  return run_events(trace, {}, trace, policy, options);
-}
-
-StreamReport run_stream(const EventTrace& trace, OnlinePolicy policy,
-                        const StreamOptions& options) {
-  return run_events(trace.base(), trace.cancels(), trace.residual(), policy,
-                    options);
-}
-
-std::string StreamReport::summary() const {
-  std::ostringstream oss;
-  oss << to_string(policy) << ": jobs=" << jobs;
-  if (cancels > 0) oss << " cancels=" << cancels;
-  oss << " cost=" << online_cost
-      << " jobs/sec=" << static_cast<std::int64_t>(jobs_per_sec)
-      << " ratio_to_lb=" << ratio_to_lb;
-  if (stats.busy_time_refunded > 0)
-    oss << " refunded=" << stats.busy_time_refunded;
-  if (threads > 1) oss << " threads=" << threads << " shards=" << shards;
-  if (prefix_offline_cost > 0)
-    oss << " competitive_ratio@" << prefix_jobs << "=" << competitive_ratio;
-  if (!valid) oss << " INVALID";
-  return oss.str();
 }
 
 }  // namespace busytime

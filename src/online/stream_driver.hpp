@@ -1,21 +1,12 @@
-// StreamDriver: replays a workload trace through an online policy and
-// measures serving performance.
+// The stream driver: replays a workload trace through an online policy.
 //
-// The driver is the bridge between the offline reproduction and the serving
-// system: it times the assignment hot path (jobs/sec), validates the
-// resulting schedule, and quantifies the price of being online in two ways:
-//
-//  * ratio_to_lb      — online cost over the Observation 2.1 lower bound of
-//                       the full trace (cheap at any scale);
-//  * competitive_ratio — online cost over the offline dispatcher's cost on a
-//                       bounded prefix of the same stream (the empirical
-//                       competitive ratio; the offline solve is super-linear,
-//                       so the prefix keeps million-job runs tractable).
-//
-// Traces may carry cancellation/preemption records (EventTrace): the replay
-// feeds the merged event stream to the policy, and every comparison — lower
-// bound, validation, offline prefix — is made against the *residual*
-// instance (retracted jobs truncated), the workload that actually ran.
+// replay_stream is the one replay path: the registry's online solvers run
+// it, so run_solver reports its schedule and EngineStats together with the
+// cost, the Observation 2.1 ratio and the validity that finalize computes
+// for every solver — against the *residual* instance (retracted jobs
+// truncated) when the trace carries cancellation/preemption records
+// (EventTrace).  The replay feeds the policy arrivals in start order,
+// merged with the trace's retractions by retraction_precedes_arrival.
 //
 // Sharded replay: interval-graph components are totally ordered in time (the
 // sweep starts a new component exactly when an arrival misses the running
@@ -33,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "core/instance.hpp"
 #include "online/event.hpp"
@@ -43,46 +33,12 @@ namespace busytime {
 
 struct RequestContext;
 
-struct StreamOptions {
-  PolicyParams policy;
-  /// Jobs of the stream prefix used for the offline comparison; 0 disables
-  /// the offline solve (competitive_ratio reported as 0).
-  std::size_t offline_prefix = 10000;
-  /// Re-check the final schedule with core/validate (O(n log n)).
-  bool validate = true;
-  /// Worker threads for the sharded replay: 1 = exact sequential replay
-  /// through a single pool, 0 = the exec process default.  Thread count
-  /// never changes the resulting schedule, cost, or stats.
-  int threads = 1;
-  /// Lower bound on jobs per shard, keeping per-shard overhead amortized.
-  std::size_t min_shard_jobs = 4096;
-};
+/// Default lower bound on jobs per shard, keeping per-shard overhead
+/// amortized.
+inline constexpr std::size_t kMinShardJobs = 4096;
 
-struct StreamReport {
-  OnlinePolicy policy = OnlinePolicy::kFirstFit;
-  std::size_t jobs = 0;
-  std::size_t cancels = 0;   ///< retraction records replayed
-  Time online_cost = 0;
-  EngineStats stats;
-  bool valid = true;
-
-  int threads = 1;           ///< effective worker count of the replay
-  std::size_t shards = 1;    ///< shards the stream was partitioned into
-
-  double elapsed_sec = 0;    ///< wall time of the replay (fan-out + stitch)
-  double jobs_per_sec = 0;
-
-  std::size_t prefix_jobs = 0;
-  Time prefix_online_cost = 0;
-  Time prefix_offline_cost = 0;
-  double competitive_ratio = 0;  ///< prefix online / prefix offline cost
-  double ratio_to_lb = 0;        ///< full-trace online cost / lower bound
-
-  std::string summary() const;
-};
-
-/// Low-level sharded replay result: the schedule and merged stats without
-/// the report scaffolding (validation, ratios, offline comparison).
+/// A replay's schedule and merged stats (cost, validity and ratios are
+/// finalize's job).
 struct ReplayResult {
   Schedule schedule;
   EngineStats stats;
@@ -99,7 +55,7 @@ struct ReplayResult {
 /// process-default registry when null) and shard spans into its trace.
 ReplayResult replay_stream(const Instance& trace, OnlinePolicy policy,
                            const PolicyParams& params, int threads = 1,
-                           std::size_t min_shard_jobs = 4096,
+                           std::size_t min_shard_jobs = kMinShardJobs,
                            const RequestContext* context = nullptr);
 
 /// Replays an event trace — arrivals interleaved with cancellations and
@@ -109,16 +65,7 @@ ReplayResult replay_stream(const Instance& trace, OnlinePolicy policy,
 /// schedule.cost(trace.residual()).
 ReplayResult replay_stream(const EventTrace& trace, OnlinePolicy policy,
                            const PolicyParams& params, int threads = 1,
-                           std::size_t min_shard_jobs = 4096,
+                           std::size_t min_shard_jobs = kMinShardJobs,
                            const RequestContext* context = nullptr);
-
-/// Replays `trace` (jobs in start order) through `policy` and reports.
-StreamReport run_stream(const Instance& trace, OnlinePolicy policy,
-                        const StreamOptions& options = {});
-
-/// Replays an event trace through `policy` and reports against the residual
-/// instance (lower bound, validation, offline prefix comparison).
-StreamReport run_stream(const EventTrace& trace, OnlinePolicy policy,
-                        const StreamOptions& options = {});
 
 }  // namespace busytime

@@ -209,6 +209,19 @@ TEST(Registry, ImproveNeverBreaksExtensionSemantics) {
   EXPECT_EQ(r.schedule.machine_count(), 2);
 }
 
+TEST(Registry, FirstFitDemandsNeedsEveryDemandWithinG) {
+  // A demand above g fits no machine: the solver must refuse the instance
+  // instead of running into its precondition.
+  std::vector<Job> jobs{Job(0, 10), Job(5, 15)};
+  jobs[1].demand = 99;
+  const Instance oversized(jobs, /*g=*/3);
+  const SolverSpec spec = SolverSpec::parse("first_fit_demands");
+  EXPECT_THROW(run_solver(oversized, spec), NotApplicableError);
+  jobs[1].demand = 3;
+  const SolveResult r = run_solver(Instance(jobs, 3), spec);
+  EXPECT_TRUE(r.valid);
+}
+
 TEST(Registry, DuplicateRegistrationThrows) {
   SolverRegistry local;
   SolverInfo info;

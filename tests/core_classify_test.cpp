@@ -126,11 +126,15 @@ TEST(Components, BridgingJobMergesComponents) {
 TEST(Components, SolvePerComponentStitchesSchedules) {
   const Instance inst({Job(0, 4), Job(2, 6), Job(8, 10), Job(9, 12)}, 2);
   // Trivial per-component solver: everything on machine 0.
-  const Schedule s = solve_per_component(inst, [](const Instance& sub) {
-    Schedule part(sub.size());
-    for (std::size_t j = 0; j < sub.size(); ++j) part.assign(static_cast<JobId>(j), 0);
-    return part;
-  });
+  const Schedule s = solve_per_component_parallel(
+      inst,
+      [](const Instance& sub) {
+        Schedule part(sub.size());
+        for (std::size_t j = 0; j < sub.size(); ++j)
+          part.assign(static_cast<JobId>(j), 0);
+        return part;
+      },
+      /*threads=*/1);
   // Jobs 0,1 on one machine; jobs 2,3 on a different machine.
   EXPECT_EQ(s.machine_of(0), s.machine_of(1));
   EXPECT_EQ(s.machine_of(2), s.machine_of(3));

@@ -18,11 +18,14 @@
 #include "algo/dispatch.hpp"
 #include "algo/exact_minbusy.hpp"
 #include "algo/first_fit.hpp"
+#include "api/registry.hpp"
 #include "core/components.hpp"
 #include "core/instance_view.hpp"
 #include "exec/thread_pool.hpp"
 #include "extensions/capacity_demands.hpp"
+#include "obs/metrics.hpp"
 #include "online/stream_driver.hpp"
+#include "service/service.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace.hpp"
 
@@ -123,13 +126,6 @@ TEST(ExecPool, NestedParallelForRunsInlineAndCompletes) {
   nest3(/*throw_at=*/800);  // past the last leaf: nothing throws
   EXPECT_EQ(leaves.load(), 800);
   EXPECT_THROW(nest3(/*throw_at=*/2 * 200 + 1 * 50 + 37), std::runtime_error);
-}
-
-TEST(ExecPool, ParallelMapCollectsInSlotOrder) {
-  const auto squares = exec::parallel_map<std::size_t>(
-      8, 500, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), 500u);
-  for (std::size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
 }
 
 TEST(ExecPool, SubmitDrainsOnWorkers) {
@@ -238,7 +234,7 @@ TEST(ParallelSolve, PerComponentParallelMatchesSequential) {
   tp.seed = 21;
   const Instance trace = gen_trace(tp);
   const auto solve = [](const Instance& sub) { return solve_first_fit(sub); };
-  const Schedule sequential = solve_per_component(trace, solve);
+  const Schedule sequential = solve_per_component_parallel(trace, solve, 1);
   for (const int threads : {2, 8}) {
     const Schedule parallel =
         solve_per_component_parallel(trace, solve, threads);
@@ -323,23 +319,28 @@ TEST(ShardedStream, PoliciesIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ShardedStream, RunStreamReportMatchesSequential) {
-  const Instance trace = sharding_trace(8000);
-  StreamOptions sequential;
-  sequential.offline_prefix = 500;
-  StreamOptions sharded = sequential;
-  sharded.threads = 8;
-  sharded.min_shard_jobs = 512;
+TEST(ShardedStream, RunSolverMatchesSequential) {
+  // 20000 jobs: enough for several shards of the default kMinShardJobs.
+  const Instance trace = sharding_trace();
+  const obs::MetricsRegistry& metrics = Service::process_default().metrics();
+  const auto shards_run = [&] {
+    return metrics.snapshot().counter_value(obs::metric::kOnlineShardsRun);
+  };
 
-  const StreamReport a = run_stream(trace, OnlinePolicy::kBestFit, sequential);
-  const StreamReport b = run_stream(trace, OnlinePolicy::kBestFit, sharded);
-  EXPECT_EQ(a.online_cost, b.online_cost);
-  EXPECT_EQ(a.prefix_offline_cost, b.prefix_offline_cost);
+  const std::uint64_t before = shards_run();
+  const SolveResult a = run_solver(trace, SolverSpec::parse("online_best_fit"));
+  const std::uint64_t mid = shards_run();
+  const SolveResult b =
+      run_solver(trace, SolverSpec::parse("online_best_fit:threads=8"));
+  EXPECT_EQ(mid - before, 1u) << "the default request replays sequentially";
+  EXPECT_GT(shards_run() - mid, 1u) << "sharding never engaged";
+
   EXPECT_TRUE(a.valid);
   EXPECT_TRUE(b.valid);
-  EXPECT_EQ(b.threads, 8);
-  EXPECT_GT(b.shards, 1u);
-  expect_stats_eq(b.stats, a.stats, "run_stream threads=8");
+  EXPECT_EQ(b.cost, a.cost);
+  EXPECT_EQ(b.ratio_to_lower_bound, a.ratio_to_lower_bound);
+  EXPECT_EQ(b.schedule.assignment(), a.schedule.assignment());
+  expect_stats_eq(b.stats, a.stats, "run_solver threads=8");
 }
 
 TEST(ShardedStream, DegenerateTracesAreSafe) {

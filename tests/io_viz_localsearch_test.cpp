@@ -85,6 +85,58 @@ TEST(Serialize, RejectsMalformedInput) {
   EXPECT_THROW(read_schedule(wrong_n, 3), ParseError);  // size mismatch
 }
 
+// Every record must use up its line.  An optional field that fails to
+// parse is an error, never a silent 0 (a demand-0 job would slip past the
+// demand >= 1 check).
+TEST(Serialize, InstanceRecordsMustConsumeTheirLine) {
+  const std::string head = "busytime-instance v1\ng 3\n";
+  for (const std::string& bad : {
+           std::string("job 0 10 2 x\n"),    // unparsable demand
+           std::string("job 0 10 abc\n"),    // unparsable weight
+           std::string("job 0 10 2 3 4\n"),  // a field the format lacks
+           std::string("job 0 10.5\n"),      // non-integer completion
+       }) {
+    std::stringstream in(head + bad);
+    EXPECT_THROW(read_instance(in), ParseError) << bad;
+  }
+  std::stringstream bad_g("busytime-instance v1\ng 3x\njob 0 10\n");
+  EXPECT_THROW(read_instance(bad_g), ParseError);
+  std::stringstream bad_header("busytime-instance v1 extra\ng 3\njob 0 10\n");
+  EXPECT_THROW(read_instance(bad_header), ParseError);
+}
+
+TEST(Serialize, EventTraceRecordsMustConsumeTheirLine) {
+  const std::string head = "busytime-instance v1\ng 2\njob 0 10\n";
+  for (const std::string& bad : {std::string("cancel 0 5 junk\n"),
+                                 std::string("preempt 0 5 1\n")}) {
+    std::stringstream in(head + bad);
+    EXPECT_THROW(read_event_trace(in), ParseError) << bad;
+  }
+  std::stringstream good(head + "cancel 0 5   # a comment\n");
+  EXPECT_EQ(read_event_trace(good).cancels().size(), 1u);
+}
+
+TEST(Serialize, ScheduleRecordsMustConsumeTheirLine) {
+  std::stringstream bad_n("busytime-schedule v1\nn 2x\nassign 0 1\n");
+  EXPECT_THROW(read_schedule(bad_n, 2), ParseError);
+  std::stringstream bad_assign("busytime-schedule v1\nn 2\nassign 0 1 junk\n");
+  EXPECT_THROW(read_schedule(bad_assign, 2), ParseError);
+  std::stringstream good("busytime-schedule v1\nn 2\nassign 0 1 \t\nassign 1 0\n");
+  EXPECT_EQ(read_schedule(good, 2).machine_of(0), 1);
+}
+
+TEST(Serialize, TrailingInputErrorNamesTheLine) {
+  std::stringstream in("busytime-instance v1\ng 2\njob 0 10\njob 0 10 1 1 1\n");
+  try {
+    read_instance(in);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 4);
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'job'"), std::string::npos);
+  }
+}
+
 TEST(Serialize, ParseErrorReportsLine) {
   std::stringstream in("busytime-instance v1\ng 2\njob 9 2\n");
   try {

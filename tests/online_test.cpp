@@ -5,11 +5,10 @@
 
 #include <stdexcept>
 
-#include "algo/dispatch.hpp"
+#include "api/registry.hpp"
 #include "core/bounds.hpp"
 #include "core/validate.hpp"
 #include "online/epoch_hybrid.hpp"
-#include "online/event.hpp"
 #include "online/machine_pool.hpp"
 #include "workload/trace.hpp"
 
@@ -80,27 +79,14 @@ TEST(OnlineScheduler, RejectsOutOfOrderArrivals) {
   EXPECT_THROW(ff.on_arrival(1, Job(5, 15)), std::invalid_argument);
 }
 
-TEST(JobStream, ReplaysInNonDecreasingStartOrder) {
-  const Instance trace = small_trace(11);
-  JobStream stream(trace);
-  Time last = std::numeric_limits<Time>::lowest();
-  while (!stream.done()) {
-    const ArrivalEvent ev = stream.next();
-    EXPECT_GE(ev.job.start(), last);
-    last = ev.job.start();
-  }
-}
-
 // No job is assigned before its start: the engine clock (latest stream time)
 // is always >= the start of every job already assigned.
 TEST(OnlineScheduler, NeverAssignsBeforeArrival) {
   const Instance trace = small_trace(12);
   for (const OnlinePolicy policy : kAllPolicies) {
     auto sched = make_scheduler(policy, trace.g());
-    JobStream stream(trace);
-    while (!stream.done()) {
-      const ArrivalEvent ev = stream.next();
-      sched->on_arrival(ev.id, ev.job);
+    for (const JobId id : trace.ids_by_start()) {
+      sched->on_arrival(id, trace.job(id));
       const Schedule& s = sched->schedule();
       for (std::size_t j = 0; j < s.size(); ++j) {
         if (!s.is_scheduled(static_cast<JobId>(j))) continue;
@@ -123,11 +109,8 @@ TEST(OnlineScheduler, SchedulesAreValidAndCostMatchesIncrementalAccounting) {
       const Instance trace = small_trace(seed, 400, g);
       for (const OnlinePolicy policy : kAllPolicies) {
         auto sched = make_scheduler(policy, trace.g());
-        JobStream stream(trace);
-        while (!stream.done()) {
-          const ArrivalEvent ev = stream.next();
-          sched->on_arrival(ev.id, ev.job);
-        }
+        for (const JobId id : trace.ids_by_start())
+          sched->on_arrival(id, trace.job(id));
         sched->flush();
         EXPECT_EQ(find_violation(trace, sched->schedule()), std::nullopt)
             << to_string(policy) << " seed=" << seed << " g=" << g;
@@ -148,7 +131,7 @@ TEST(OnlineScheduler, GreedyPeakLoadEqualsInstanceConcurrency) {
   const Instance trace = small_trace(21, 500, 3);
   for (const OnlinePolicy policy :
        {OnlinePolicy::kFirstFit, OnlinePolicy::kBestFit}) {
-    const StreamReport r = run_stream(trace, policy, {});
+    const ReplayResult r = replay_stream(trace, policy, {});
     EXPECT_EQ(r.stats.peak_active_jobs, max_concurrency(trace)) << to_string(policy);
   }
 }
@@ -159,11 +142,7 @@ TEST(OnlineScheduler, GreedyPeakLoadEqualsInstanceConcurrency) {
 TEST(EpochHybrid, ReplayedPastJobsDoNotInflatePeakLoad) {
   const Instance trace({Job(0, 10), Job(500, 510)}, 2);
   EpochHybrid hybrid(trace.g(), PolicyParams{});
-  JobStream stream(trace);
-  while (!stream.done()) {
-    const ArrivalEvent ev = stream.next();
-    hybrid.on_arrival(ev.id, ev.job);
-  }
+  for (const JobId id : trace.ids_by_start()) hybrid.on_arrival(id, trace.job(id));
   hybrid.flush();
   EXPECT_EQ(hybrid.stats().peak_active_jobs, 1);
   EXPECT_EQ(hybrid.stats().online_cost, hybrid.schedule().cost(trace));
@@ -171,10 +150,9 @@ TEST(EpochHybrid, ReplayedPastJobsDoNotInflatePeakLoad) {
 
 TEST(EpochHybrid, BatchCapForcesFlushAndStaysValid) {
   const Instance trace = small_trace(33, 500, 4);
-  StreamOptions options;
-  options.policy.epoch_length = 1 << 20;  // never trigger by time
-  options.policy.max_batch = 7;           // ...always by batch cap
-  const StreamReport r = run_stream(trace, OnlinePolicy::kEpochHybrid, options);
+  // A 2^20 epoch never triggers by time; a batch of 7 always triggers by cap.
+  const SolveResult r =
+      run_solver(trace, SolverSpec::parse("epoch_hybrid:epoch=1048576,max_batch=7"));
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.stats.jobs_assigned, static_cast<std::int64_t>(trace.size()));
 }
@@ -185,20 +163,15 @@ TEST(OnlineScheduler, DeterministicUnderFixedSeed) {
   for (const OnlinePolicy policy : kAllPolicies) {
     const Instance a = small_trace(2012);
     const Instance b = small_trace(2012);
-    const StreamReport ra = run_stream(a, policy, {});
-    const StreamReport rb = run_stream(b, policy, {});
-    EXPECT_EQ(ra.online_cost, rb.online_cost) << to_string(policy);
+    const ReplayResult ra = replay_stream(a, policy, {});
+    const ReplayResult rb = replay_stream(b, policy, {});
+    EXPECT_EQ(ra.stats.online_cost, rb.stats.online_cost) << to_string(policy);
     EXPECT_EQ(ra.stats.machines_opened, rb.stats.machines_opened);
 
     auto sa = make_scheduler(policy, a.g());
     auto sb = make_scheduler(policy, b.g());
-    JobStream streamA(a), streamB(b);
-    while (!streamA.done()) {
-      const ArrivalEvent ea = streamA.next();
-      const ArrivalEvent eb = streamB.next();
-      sa->on_arrival(ea.id, ea.job);
-      sb->on_arrival(eb.id, eb.job);
-    }
+    for (const JobId id : a.ids_by_start()) sa->on_arrival(id, a.job(id));
+    for (const JobId id : b.ids_by_start()) sb->on_arrival(id, b.job(id));
     sa->flush();
     sb->flush();
     EXPECT_EQ(sa->schedule().assignment(), sb->schedule().assignment())
@@ -214,10 +187,10 @@ TEST(OnlineScheduler, DeterministicUnderFixedSeed) {
 TEST(OnlineScheduler, FirstFitWithinFourTimesLowerBound) {
   for (const std::uint64_t seed : {1u, 5u, 17u, 2012u}) {
     const Instance trace = small_trace(seed, 600, 8);
-    const StreamReport r = run_stream(trace, OnlinePolicy::kFirstFit, {});
+    const SolveResult r = run_solver(trace, SolverSpec::parse("online_first_fit"));
     EXPECT_TRUE(r.valid);
-    EXPECT_LE(r.ratio_to_lb, 4.0) << "seed=" << seed;
-    EXPECT_GE(r.ratio_to_lb, 1.0) << "seed=" << seed;
+    EXPECT_LE(r.ratio_to_lower_bound, 4.0) << "seed=" << seed;
+    EXPECT_GE(r.ratio_to_lower_bound, 1.0) << "seed=" << seed;
   }
 }
 
@@ -231,26 +204,11 @@ TEST(OnlineScheduler, EpochHybridBeatsFirstFitOnDiurnalTrace) {
   p.diurnal = true;
   p.seed = 7;
   const Instance trace = gen_trace(p);
-  const StreamReport ff = run_stream(trace, OnlinePolicy::kFirstFit, {});
-  const StreamReport hybrid = run_stream(trace, OnlinePolicy::kEpochHybrid, {});
+  const SolveResult ff = run_solver(trace, SolverSpec::parse("online_first_fit"));
+  const SolveResult hybrid = run_solver(trace, SolverSpec::parse("epoch_hybrid"));
   EXPECT_TRUE(ff.valid);
   EXPECT_TRUE(hybrid.valid);
-  EXPECT_LE(hybrid.online_cost, ff.online_cost);
-}
-
-TEST(StreamDriver, ReportsCompetitiveRatioAgainstOfflineDispatcher) {
-  const Instance trace = small_trace(42, 500, 8);
-  StreamOptions options;
-  options.offline_prefix = trace.size();  // full-stream comparison
-  const StreamReport r = run_stream(trace, OnlinePolicy::kBestFit, options);
-  EXPECT_EQ(r.prefix_jobs, trace.size());
-  EXPECT_EQ(r.prefix_online_cost, r.online_cost);
-  const Time offline = solve_minbusy_auto(trace).schedule.cost(trace);
-  EXPECT_EQ(r.prefix_offline_cost, offline);
-  EXPECT_GT(r.competitive_ratio, 0.0);
-  EXPECT_DOUBLE_EQ(
-      r.competitive_ratio,
-      static_cast<double>(r.online_cost) / static_cast<double>(offline));
+  EXPECT_LE(hybrid.cost, ff.cost);
 }
 
 }  // namespace
