@@ -30,6 +30,7 @@ def u16(v): return struct.pack("<H", v)
 def u32(v): return struct.pack("<I", v)
 def i32(v): return struct.pack("<i", v)
 def i64(v): return struct.pack("<q", v)
+def f64(v): return struct.pack("<d", v)
 def wstr(s): return u32(len(s)) + s.encode()
 
 
@@ -59,8 +60,15 @@ def schedule(assignment):
 
 def solver_info(name, kind, optimality, ratio, needs_budget, description):
     return (wstr(name) + wstr(kind) + wstr(optimality) +
-            struct.pack("<d", ratio) + u8(1 if needs_budget else 0) +
+            f64(ratio) + u8(1 if needs_budget else 0) +
             wstr(description))
+
+
+def solve_result_up_to_trace():
+    """A SolveResult payload up to its component-trace count: solver,
+    status, empty schedule, cost, throughput, bounds (g = 1), ratio, valid."""
+    return (wstr("auto") + u8(0) + u32(0) + i64(0) + i64(0) +
+            i64(0) + i64(0) + i64(0) + i32(1) + f64(0.0) + u8(1))
 
 
 def frame(msg_type, payload=b""):
@@ -129,6 +137,15 @@ def main():
     # Cancel record naming a job the instance does not have.
     write("regressions/cancel_bad_job_id.bin",
           event_trace(inst, [cancel(99, 5)]))
+    # Zero-length Job as a full 32-byte record, so the length check (not a
+    # short read) rejects it.
+    write("regressions/zero_length_job.bin", job(10, 10))
+    # Job with demand = 0.
+    write("regressions/zero_demand_job.bin", job(0, 10, demand=0))
+    # Forged component-trace count in a result: 1000 traces in 1000 bytes
+    # (reserved 40 bytes per trace before the 12-byte ComponentTrace floor).
+    write("regressions/forged_component_trace_count.bin",
+          solve_result_up_to_trace() + u32(1000) + b"\x00" * 1000)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ namespace busytime {
 ///
 /// An Instance is immutable after construction (the only mutation is
 /// whole-object assignment), so the sorted-id orders below are memoized:
-/// the first call pays the O(n log n) sort, every later call — including
+/// the first call builds the order, every later call — including
 /// concurrent calls from solver threads — returns the cached vector.
 /// Copies share the cache (their jobs are identical); assignment replaces
 /// it together with the jobs, which is what keeps it consistent.
@@ -53,13 +53,17 @@ class Instance {
   /// All job intervals, in job-id order.
   std::vector<Interval> intervals() const;
 
-  /// Job ids sorted by non-decreasing start time (ties: by completion).
-  /// For proper instances this is exactly the paper's order J1 <= J2 <= ...
-  /// Memoized; thread-safe.  The reference stays valid for the lifetime of
-  /// this instance and of any copy sharing its cache.
+  /// Job ids sorted by non-decreasing start time (ties: by completion,
+  /// then id).  For proper instances this is exactly the paper's order
+  /// J1 <= J2 <= ...  Jobs already in start order (one O(n) scan) only
+  /// have their runs of equal starts sorted; any other input takes a
+  /// comparison sort.  Memoized; thread-safe.  The reference stays valid
+  /// for the lifetime of this instance and of any copy sharing its cache.
   const std::vector<JobId>& ids_by_start() const;
 
-  /// Job ids sorted by non-increasing length (FirstFit order).  Memoized;
+  /// Job ids sorted by non-increasing length, ties by id (FirstFit order).
+  /// A stable radix sort on the length when there are at least 256 jobs
+  /// and every length is below 2^31, else a comparison sort.  Memoized;
   /// thread-safe.
   const std::vector<JobId>& ids_by_length_desc() const;
 

@@ -11,6 +11,7 @@
 // Encoding rules, fixed for the v1 wire format:
 //  * integers are little-endian, fixed width (u8/u16/u32/u64 and the
 //    two's-complement i32/i64 views) — independent of host endianness;
+//    each moves as one whole word (store_le/load_le), not byte by byte;
 //  * bool is one byte (0/1); doubles are their IEEE-754 bit pattern as u64,
 //    so a round trip is bit-exact and the determinism contract extends
 //    across the wire;
@@ -51,6 +52,55 @@ class WireError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// ------------------------------------------------------------ byte order --
+
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+inline constexpr bool kLittleEndianHost = true;
+#else
+inline constexpr bool kLittleEndianHost = false;  // big-endian or unknown
+#endif
+
+/// Stores `v` at `dst` as a little-endian word: one memcpy on a
+/// little-endian host, a portable shift loop (a byte swap on a big-endian
+/// host) otherwise.  `dst` needs no alignment.
+template <typename U>
+inline void store_le(char* dst, U v) noexcept {
+  static_assert(std::is_unsigned<U>::value, "wire words are unsigned");
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(dst, &v, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+      dst[i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+/// Inverse of store_le: the little-endian word at `src` as a host value.
+template <typename U>
+inline U load_le(const char* src) noexcept {
+  static_assert(std::is_unsigned<U>::value, "wire words are unsigned");
+  U v = 0;
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(&v, src, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+      v = static_cast<U>(v | static_cast<U>(static_cast<unsigned char>(src[i]))
+                                 << (8 * i));
+  }
+  return v;
+}
+
+/// True when an array of T in memory is already its busytime-wire-v1
+/// image, so a vector of T travels as one copy: the fixed-width scalars
+/// with their own `<<`/`>>` pair, on a little-endian host.  bool is not
+/// one of them (its reader rejects bytes other than 0 and 1).
+template <typename T>
+inline constexpr bool kWireImageIsMemory =
+    kLittleEndianHost &&
+    (std::is_same<T, std::uint8_t>::value || std::is_same<T, std::uint16_t>::value ||
+     std::is_same<T, std::uint32_t>::value || std::is_same<T, std::uint64_t>::value ||
+     std::is_same<T, std::int32_t>::value || std::is_same<T, std::int64_t>::value ||
+     std::is_same<T, double>::value);
+
 // ----------------------------------------------------------------- writer --
 
 /// Byte-collecting output stream (the PPA "ibinstream": *i*nto the wire).
@@ -60,25 +110,38 @@ class ibinstream {
     buf_.append(static_cast<const char*>(data), n);
   }
 
+  /// Makes room for `n` more bytes.  The capacity grows to the next power
+  /// of two, the size the string's own doubling would reach, so nested
+  /// compound writers reserving in turn stay amortised O(1) and the
+  /// process frees the same few block sizes request after request.  That
+  /// matters to glibc, which sets its heap trim threshold to twice the
+  /// largest mmapped block freed: with exact 4.8 MB buffers, every
+  /// 150k-job request trimmed the heap and faulted ~9 MB back in.
+  void reserve_more(std::size_t n) {
+    const std::size_t need = buf_.size() + n;
+    if (need <= buf_.capacity()) return;
+    std::size_t capacity = 64;
+    while (capacity < need) capacity *= 2;
+    buf_.reserve(capacity);
+  }
+
   void write_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void write_u16(std::uint16_t v) {
-    write_u8(static_cast<std::uint8_t>(v));
-    write_u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void write_u32(std::uint32_t v) {
-    write_u16(static_cast<std::uint16_t>(v));
-    write_u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void write_u64(std::uint64_t v) {
-    write_u32(static_cast<std::uint32_t>(v));
-    write_u32(static_cast<std::uint32_t>(v >> 32));
-  }
+  void write_u16(std::uint16_t v) { write_word(v); }
+  void write_u32(std::uint32_t v) { write_word(v); }
+  void write_u64(std::uint64_t v) { write_word(v); }
 
   const std::string& buffer() const noexcept { return buf_; }
   std::string take() { return std::move(buf_); }
   std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  template <typename U>
+  void write_word(U v) {
+    char bytes[sizeof(U)];
+    store_le(bytes, v);
+    buf_.append(bytes, sizeof(U));
+  }
+
   std::string buf_;
 };
 
@@ -129,20 +192,19 @@ class obinstream {
     require(1);
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
-  std::uint16_t read_u16() {
-    const std::uint16_t lo = read_u8();
-    return static_cast<std::uint16_t>(lo | (static_cast<std::uint16_t>(read_u8()) << 8));
-  }
-  std::uint32_t read_u32() {
-    const std::uint32_t lo = read_u16();
-    return lo | (static_cast<std::uint32_t>(read_u16()) << 16);
-  }
-  std::uint64_t read_u64() {
-    const std::uint64_t lo = read_u32();
-    return lo | (static_cast<std::uint64_t>(read_u32()) << 32);
-  }
+  std::uint16_t read_u16() { return read_word<std::uint16_t>(); }
+  std::uint32_t read_u32() { return read_word<std::uint32_t>(); }
+  std::uint64_t read_u64() { return read_word<std::uint64_t>(); }
 
  private:
+  template <typename U>
+  U read_word() {
+    require(sizeof(U));
+    const U v = load_le<U>(data_ + pos_);
+    pos_ += sizeof(U);
+    return v;
+  }
+
   const char* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -216,10 +278,11 @@ inline obinstream& operator>>(obinstream& m, std::string& s) {
 
 /// Minimum bytes one T consumes on the wire — the amplification bound the
 /// vector reader checks a declared count against.  The primary template
-/// covers fixed-width scalars; domain types with a larger fixed floor
-/// specialize it so a forged count cannot reserve memory many times the
-/// payload size (e.g. a 4-byte count claiming millions of 32-byte Jobs).
-/// A conservative floor is always sound: it must never exceed the true
+/// covers fixed-width scalars and falls back to 1 byte for anything else,
+/// so every compound type that travels in a vector specializes it with its
+/// true floor; otherwise a forged count reserves memory many times the
+/// payload size (a count claiming 1000 ComponentTraces, 40 bytes each in
+/// memory, in 1000 bytes of payload).  The floor must never exceed the
 /// minimal encoding, or valid payloads would be rejected.
 template <typename T>
 struct WireMinBytes {
@@ -246,13 +309,24 @@ template <>
 struct WireMinBytes<CancelRecord> {
   static constexpr std::size_t value = 13;  // i32 job + i64 at + bool
 };
+template <>
+struct WireMinBytes<ComponentTrace> {
+  static constexpr std::size_t value = 12;  // u64 jobs + u32 algo length
+};
 
 template <typename T>
 ibinstream& operator<<(ibinstream& m, const std::vector<T>& v) {
   if (v.size() > UINT32_MAX)
     throw WireError("vector exceeds the u32 wire length");
+  // One reservation for the count and every element's floor: exact for
+  // fixed-width elements, a lower bound for the rest.
+  m.reserve_more(4 + v.size() * WireMinBytes<T>::value);
   m.write_u32(static_cast<std::uint32_t>(v.size()));
-  for (const T& e : v) m << e;
+  if constexpr (kWireImageIsMemory<T>) {
+    if (!v.empty()) m.raw(v.data(), v.size() * sizeof(T));
+  } else {
+    for (const T& e : v) m << e;
+  }
   return m;
 }
 
@@ -264,11 +338,16 @@ obinstream& operator>>(obinstream& m, std::vector<T>& v) {
   // allocation nor overflow the n * sizeof(T) reservation arithmetic.
   m.require_count(n, WireMinBytes<T>::value, sizeof(T));
   v.clear();
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    T e{};
-    m >> e;
-    v.push_back(std::move(e));
+  if constexpr (kWireImageIsMemory<T>) {
+    v.resize(n);
+    if (n > 0) m.raw(v.data(), n * sizeof(T));
+  } else {
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      T e{};
+      m >> e;
+      v.push_back(std::move(e));
+    }
   }
   return m;
 }

@@ -263,6 +263,11 @@ struct WireSolverInfo {
   std::string description;
 };
 
+template <>
+struct WireMinBytes<WireSolverInfo> {
+  static constexpr std::size_t value = 25;  // four u32 lengths + f64 + bool
+};
+
 inline ibinstream& operator<<(ibinstream& m, const WireSolverInfo& info) {
   return m << info.name << info.kind << info.optimality << info.ratio
            << info.needs_budget << info.description;

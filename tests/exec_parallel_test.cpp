@@ -6,12 +6,14 @@
 // -DBUSYTIME_SANITIZE=thread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,8 @@
 #include "obs/metrics.hpp"
 #include "online/stream_driver.hpp"
 #include "service/service.hpp"
+#include "util/prng.hpp"
+#include "workload/cancellable.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace.hpp"
 
@@ -186,6 +190,160 @@ TEST(InstanceCache, ViewClassifiesEachComponentOnce) {
     jobs += sub.size();
   }
   EXPECT_EQ(jobs, trace.size());
+}
+
+// Slow oracles for the two memoized orders: comparator sorts over the
+// whole id range, the code the fast paths replaced.
+std::vector<JobId> oracle_ids_by_start(const Instance& inst) {
+  std::vector<JobId> ids(inst.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+    const Job& ja = inst.job(a);
+    const Job& jb = inst.job(b);
+    if (ja.start() != jb.start()) return ja.start() < jb.start();
+    if (ja.completion() != jb.completion()) return ja.completion() < jb.completion();
+    return a < b;
+  });
+  return ids;
+}
+
+std::vector<JobId> oracle_ids_by_length_desc(const Instance& inst) {
+  std::vector<JobId> ids(inst.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+    if (inst.job(a).length() != inst.job(b).length())
+      return inst.job(a).length() > inst.job(b).length();
+    return a < b;
+  });
+  return ids;
+}
+
+void expect_orders_match_oracle(const Instance& inst, const std::string& what) {
+  SCOPED_TRACE(what + " (n=" + std::to_string(inst.size()) + ")");
+  EXPECT_EQ(inst.ids_by_start(), oracle_ids_by_start(inst));
+  EXPECT_EQ(inst.ids_by_length_desc(), oracle_ids_by_length_desc(inst));
+}
+
+bool in_start_order(const Instance& inst) {
+  return std::is_sorted(inst.jobs().begin(), inst.jobs().end(),
+                        [](const Job& a, const Job& b) { return a.start() < b.start(); });
+}
+
+/// n jobs with random starts in [lo, lo + spread) and lengths in
+/// [1, max_length], in generation order (not sorted).
+std::vector<Job> random_jobs(std::size_t n, Time lo, Time spread, Time max_length,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Time s = lo + rng.uniform_int(0, spread - 1);
+    jobs.emplace_back(s, s + rng.uniform_int(1, max_length));
+  }
+  return jobs;
+}
+
+std::vector<Job> sorted_by_start(std::vector<Job> jobs) {
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [](const Job& a, const Job& b) { return a.start() < b.start(); });
+  return jobs;
+}
+
+TEST(InstanceCache, MemoizedOrdersMatchAComparatorSortOracle) {
+  // Sizes straddle the radix sort's 256-job threshold.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{255}, std::size_t{256}, std::size_t{3000}}) {
+    // Unsorted: the scan fails and the comparison sort runs.
+    expect_orders_match_oracle(Instance(random_jobs(n, 0, 500, 400, n + 1), 3),
+                               "unsorted");
+    // Start order with many equal starts: only the runs are sorted.
+    expect_orders_match_oracle(
+        Instance(sorted_by_start(random_jobs(n, 0, 40, 400, n + 2)), 3),
+        "start-ordered");
+    // Fully ordered: strictly increasing starts and completions.
+    std::vector<Job> ordered;
+    for (std::size_t i = 0; i < n; ++i)
+      ordered.emplace_back(static_cast<Time>(2 * i), static_cast<Time>(2 * i + 1 + i % 5));
+    expect_orders_match_oracle(Instance(ordered, 3), "fully ordered");
+    // Every start equal: one run holding all n jobs.
+    expect_orders_match_oracle(Instance(random_jobs(n, 7, 1, 60, n + 3), 3),
+                               "all starts equal");
+    // Negative times, sorted and not.
+    expect_orders_match_oracle(Instance(random_jobs(n, -1000000, 300, 900, n + 4), 3),
+                               "negative unsorted");
+    expect_orders_match_oracle(
+        Instance(sorted_by_start(random_jobs(n, -1000000, 300, 900, n + 5)), 3),
+        "negative start-ordered");
+    // Lengths needing two and three 11-bit radix passes.
+    expect_orders_match_oracle(Instance(random_jobs(n, 0, 100, Time{1} << 12, n + 6), 3),
+                               "lengths >= 2^11");
+    expect_orders_match_oracle(Instance(random_jobs(n, 0, 100, Time{1} << 23, n + 7), 3),
+                               "lengths >= 2^22");
+    if (n == 0) continue;
+    // The longest length the radix sort takes, then lengths it must leave
+    // to the comparison sort: 2^31 and up, and past the 32 bits its packed
+    // items hold for a length.
+    std::vector<Job> wide = random_jobs(n, 0, 100, Time{1} << 23, n + 8);
+    wide[n / 2] = Job(5, 5 + (Time{1} << 31) - 1);
+    expect_orders_match_oracle(Instance(wide, 3), "length 2^31 - 1");
+    wide[n / 3] = Job(-3, -3 + (Time{1} << 31) + 11);
+    expect_orders_match_oracle(Instance(wide, 3), "one length >= 2^31");
+    wide[n - 1] = Job(7, 7 + (Time{1} << 40));
+    expect_orders_match_oracle(Instance(wide, 3), "one length >= 2^32");
+  }
+
+  // Equal-start runs of 1-4 jobs in every completion order, ties included.
+  std::vector<Job> runs;
+  Time start = 0;
+  for (const std::vector<Time>& lengths :
+       {std::vector<Time>{3}, {1, 2}, {2, 2}, {1, 2, 3}, {1, 1, 2}, {1, 2, 2},
+        {1, 2, 3, 4}, {1, 1, 2, 2}, {3, 3, 3, 1}}) {
+    std::vector<Time> perm = lengths;
+    std::sort(perm.begin(), perm.end());
+    do {
+      for (const Time len : perm) runs.emplace_back(start, start + len);
+      start += 10;
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+  ASSERT_TRUE(in_start_order(Instance(runs, 2)));
+  expect_orders_match_oracle(Instance(runs, 2), "equal-start runs in every order");
+  // The same jobs shuffled, and repeated past the radix threshold.
+  std::vector<Job> shuffled = runs;
+  Rng(11).shuffle(shuffled.begin(), shuffled.end());
+  expect_orders_match_oracle(Instance(shuffled, 2), "equal-start runs shuffled");
+  std::vector<Job> many;
+  for (int copy = 0; copy < 4; ++copy)
+    for (const Job& j : runs) many.emplace_back(j.start() + copy * start, j.completion() + copy * start);
+  ASSERT_GE(many.size(), 256u);
+  expect_orders_match_oracle(Instance(many, 2), "equal-start runs, radix size");
+
+  // A trace, a cancellable trace's base, and the component sub-instances
+  // of a view all arrive in start order: the inputs the scan is for.
+  TraceParams tp;
+  tp.n = 4000;
+  tp.arrival_rate = 0.05;
+  tp.max_duration = 40;
+  tp.seed = 5;
+  const Instance trace = gen_trace(tp);
+  EXPECT_TRUE(in_start_order(trace));
+  expect_orders_match_oracle(trace, "gen_trace");
+  CancelParams cp;
+  cp.cancel_rate = 0.2;
+  cp.seed = 6;
+  const EventTrace cancellable = gen_cancellable(tp, cp);
+  EXPECT_TRUE(in_start_order(cancellable.base()));
+  expect_orders_match_oracle(cancellable.base(), "gen_cancellable");
+  tp.n = 20000;
+  tp.arrival_rate = 0.5;
+  tp.max_duration = 500;
+  for (const Instance& whole : {trace, gen_trace(tp)}) {
+    const InstanceView view(whole, /*threads=*/1);
+    ASSERT_GT(view.component_count(), 1u);
+    for (std::size_t i = 0; i < view.component_count(); ++i) {
+      const Instance& sub = view.component_instance(i);
+      EXPECT_TRUE(in_start_order(sub));
+      expect_orders_match_oracle(sub, "component " + std::to_string(i));
+    }
+  }
 }
 
 // ---------------------------------------------------- offline determinism ---

@@ -173,6 +173,32 @@ TEST(FuzzRegression, CancelRecordWithBadJobIdIsRejected) {
   EXPECT_THROW(from_payload<busytime::EventTrace>(bytes), WireError);
 }
 
+/// Decoding the regression file `name` as T must fail with a WireError
+/// whose message contains `what`: the check the file pins, not an earlier
+/// one.
+template <typename T>
+void expect_rejected_by(const char* name, const std::string& what) {
+  try {
+    from_payload<T>(slurp(regressions_dir() / name));
+    ADD_FAILURE() << name << " decoded without error";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << name << ": expected \"" << what << "\", got: " << e.what();
+  }
+}
+
+TEST(FuzzRegression, ZeroLengthAndZeroDemandJobsFailTheirOwnChecks) {
+  expect_rejected_by<busytime::Job>("zero_length_job.bin", "non-positive length");
+  expect_rejected_by<busytime::Job>("zero_demand_job.bin", "demand must be >= 1");
+}
+
+TEST(FuzzRegression, ForgedComponentTraceCountIsRejectedBeforeAllocation) {
+  // 1000 traces declared with 1000 bytes left: must die on the count
+  // check, not after reserving 1000 in-memory ComponentTraces.
+  expect_rejected_by<busytime::SolveResult>("forged_component_trace_count.bin",
+                                            "forged element count");
+}
+
 // ---- seed health: the committed good seeds must stay decodable, so the
 // ---- fuzzers start from live coverage, not stale bytes -------------------
 

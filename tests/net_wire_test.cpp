@@ -17,6 +17,7 @@
 #include "api/registry.hpp"
 #include "io/serialize.hpp"
 #include "net/binstream.hpp"
+#include "net/protocol.hpp"
 #include "workload/cancellable.hpp"
 #include "workload/generators.hpp"
 
@@ -69,13 +70,24 @@ TEST(NetWire, PrimitiveRoundTripsAreLittleEndianAndExact) {
   ibinstream m;
   m << std::uint8_t{0xAB} << std::uint16_t{0xBEEF} << std::uint32_t{0xDEADBEEF}
     << std::uint64_t{0x0123456789ABCDEFull} << std::int32_t{-7}
-    << std::int64_t{-123456789012345678} << true << false
+    << std::int64_t{-123456789012345678} << -2.5 << true << false
     << std::string("busytime");
-  // Spot-check the layout, not just the round trip: u16 0xBEEF must be
-  // EF BE on the wire regardless of host endianness.
-  ASSERT_GE(m.size(), 3u);
-  EXPECT_EQ(static_cast<unsigned char>(m.buffer()[1]), 0xEF);
-  EXPECT_EQ(static_cast<unsigned char>(m.buffer()[2]), 0xBE);
+  // The layout, byte for byte, not just the round trip: the word-at-a-time
+  // codec must write the v1 little-endian image on any host.
+  const unsigned char expected[] = {
+      0xAB,                                            // u8
+      0xEF, 0xBE,                                      // u16 0xBEEF
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32 0xDEADBEEF
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0xF9, 0xFF, 0xFF, 0xFF,                          // i32 -7
+      0xB2, 0x0C, 0xCF, 0x59, 0xB4, 0x64, 0x49, 0xFE,  // i64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xC0,  // double -2.5
+      0x01, 0x00,                                      // true, false
+      0x08, 0x00, 0x00, 0x00,                          // string length
+      'b',  'u',  's',  'y',  't',  'i',  'm',  'e'};
+  ASSERT_EQ(m.size(), sizeof(expected));
+  for (std::size_t i = 0; i < sizeof(expected); ++i)
+    EXPECT_EQ(static_cast<unsigned char>(m.buffer()[i]), expected[i]) << "byte " << i;
 
   obinstream r(m.buffer());
   std::uint8_t u8 = 0;
@@ -84,19 +96,35 @@ TEST(NetWire, PrimitiveRoundTripsAreLittleEndianAndExact) {
   std::uint64_t u64 = 0;
   std::int32_t i32 = 0;
   std::int64_t i64 = 0;
+  double d = 0;
   bool t = false, f = true;
   std::string s;
-  r >> u8 >> u16 >> u32 >> u64 >> i32 >> i64 >> t >> f >> s;
+  r >> u8 >> u16 >> u32 >> u64 >> i32 >> i64 >> d >> t >> f >> s;
   EXPECT_EQ(u8, 0xAB);
   EXPECT_EQ(u16, 0xBEEF);
   EXPECT_EQ(u32, 0xDEADBEEFu);
   EXPECT_EQ(u64, 0x0123456789ABCDEFull);
   EXPECT_EQ(i32, -7);
   EXPECT_EQ(i64, -123456789012345678);
+  EXPECT_EQ(d, -2.5);
   EXPECT_TRUE(t);
   EXPECT_FALSE(f);
   EXPECT_EQ(s, "busytime");
   EXPECT_TRUE(r.done());
+
+  // One Job record: start, completion, weight, demand as four i64 words.
+  Job job(-5, 300, 7);
+  job.demand = 2;
+  const std::string record = to_payload(job);
+  const unsigned char expected_job[] = {
+      0xFB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // start -5
+      0x2C, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // completion 300
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // weight 7
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};  // demand 2
+  ASSERT_EQ(record.size(), sizeof(expected_job));
+  for (std::size_t i = 0; i < sizeof(expected_job); ++i)
+    EXPECT_EQ(static_cast<unsigned char>(record[i]), expected_job[i]) << "job byte " << i;
+  EXPECT_EQ(from_payload<Job>(record), job);
 }
 
 TEST(NetWire, DoublesRoundTripBitExactly) {
@@ -297,39 +325,87 @@ TEST(NetWire, ForgedVectorCountFailsBeforeAllocating) {
   EXPECT_THROW(from_payload<std::vector<Job>>(m.buffer()), WireError);
 }
 
-TEST(NetWire, InvariantViolatingPayloadsAreRejected) {
-  {  // job with non-positive length
-    ibinstream m;
-    m << std::int64_t{10} << std::int64_t{10}  // interval [10, 10)
-      << std::int64_t{1} << std::int32_t{1};   // weight, demand
-    EXPECT_THROW(from_payload<Job>(m.buffer()), WireError);
+/// Decoding `payload` as T must fail with a WireError naming `what`.
+template <typename T>
+void expect_wire_error(const std::string& payload, const std::string& what) {
+  try {
+    from_payload<T>(payload);
+    ADD_FAILURE() << "decoded without error; expected \"" << what << "\"";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << "expected \"" << what << "\", got: " << e.what();
   }
+}
+
+/// A u32 count of 1000 followed by 1000 bytes: enough for 1000 elements of
+/// one byte, too few for 1000 of the real minimum.
+std::string forged_count_of_1000() {
+  ibinstream m;
+  m.write_u32(1000);
+  m.raw(std::string(1000, '\0').data(), 1000);
+  return m.take();
+}
+
+TEST(NetWire, ForgedCountsOfVariableSizeElementsFailBeforeAllocating) {
+  // The count floor of each element type is its true minimum encoding, so
+  // the count is rejected before the reserve (1000 ComponentTraces are
+  // 40 KB in memory) instead of failing later as "truncated".
+  const std::string forged = forged_count_of_1000();
+  expect_wire_error<std::vector<ComponentTrace>>(forged, "forged element count");
+  expect_wire_error<std::vector<net::WireSolverInfo>>(forged,
+                                                      "forged element count");
+  // The same count as a result's trace, as a hostile server sends it.
+  ibinstream m;
+  m << std::string("auto") << SolveStatus::kOk << Schedule{} << Time{0}
+    << std::int64_t{0} << CostBounds{} << 0.0 << true;
+  m.raw(forged.data(), forged.size());
+  expect_wire_error<SolveResult>(m.buffer(), "forged element count");
+  // The floors are exact: the smallest real element still decodes.
+  EXPECT_EQ(to_payload(std::vector<ComponentTrace>(1)).size(), 4u + 12u);
+  EXPECT_EQ(to_payload(std::vector<net::WireSolverInfo>(1)).size(), 4u + 25u);
+  EXPECT_EQ(from_payload<std::vector<ComponentTrace>>(
+                to_payload(std::vector<ComponentTrace>(3))).size(), 3u);
+}
+
+TEST(NetWire, InvariantViolatingPayloadsAreRejected) {
+  // Full 32-byte Job records, so each fails on its invariant, not on a
+  // short read.
+  const auto job_record = [](std::int64_t start, std::int64_t completion,
+                             std::int64_t demand) {
+    ibinstream m;
+    m << start << completion << std::int64_t{1} << demand;
+    EXPECT_EQ(m.size(), 32u);
+    return m.take();
+  };
+  expect_wire_error<Job>(job_record(10, 10, 1), "non-positive length");
+  expect_wire_error<Job>(job_record(10, 5, 1), "completion precedes start");
+  expect_wire_error<Job>(job_record(0, 10, 0), "demand must be >= 1");
   {  // instance with g = 0
     ibinstream m;
     m << std::int32_t{0} << std::vector<Job>{};
-    EXPECT_THROW(from_payload<Instance>(m.buffer()), WireError);
+    expect_wire_error<Instance>(m.buffer(), "g must be >= 1");
   }
   {  // cancel record naming an out-of-range job
     Instance base = family_instance("one_sided");
     ibinstream m;
     m << base << std::vector<CancelRecord>{
         {static_cast<JobId>(base.size() + 5), 0, false}};
-    EXPECT_THROW(from_payload<EventTrace>(m.buffer()), WireError);
+    expect_wire_error<EventTrace>(m.buffer(), "cancel record names job");
   }
   {  // bool encoded as 2
     ibinstream m;
     m.write_u8(2);
-    EXPECT_THROW(from_payload<bool>(m.buffer()), WireError);
+    expect_wire_error<bool>(m.buffer(), "bool byte must be 0 or 1");
   }
   {  // unknown SolveStatus byte
     ibinstream m;
     m.write_u8(250);
-    EXPECT_THROW(from_payload<SolveStatus>(m.buffer()), WireError);
+    expect_wire_error<SolveStatus>(m.buffer(), "unknown SolveStatus");
   }
   {  // empty solver name
     ibinstream m;
     m << std::string() << SolverOptions{};
-    EXPECT_THROW(from_payload<SolverSpec>(m.buffer()), WireError);
+    expect_wire_error<SolverSpec>(m.buffer(), "empty name");
   }
 }
 
