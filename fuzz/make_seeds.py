@@ -28,6 +28,7 @@ MAGIC = 0x42545731
 def u8(v): return struct.pack("<B", v)
 def u16(v): return struct.pack("<H", v)
 def u32(v): return struct.pack("<I", v)
+def u64(v): return struct.pack("<Q", v)
 def i32(v): return struct.pack("<i", v)
 def i64(v): return struct.pack("<q", v)
 def f64(v): return struct.pack("<d", v)
@@ -62,6 +63,14 @@ def solver_info(name, kind, optimality, ratio, needs_budget, description):
     return (wstr(name) + wstr(kind) + wstr(optimality) +
             f64(ratio) + u8(1 if needs_budget else 0) +
             wstr(description))
+
+
+def solver_spec(name, g=0, budget=-1, epoch=1024, max_batch=4096, seed=1,
+                improve=False, threads=1, deadline_ms=0.0):
+    """A SolverSpec payload: the name, then SolverOptions' field list."""
+    return (wstr(name) + i32(g) + i64(budget) + i64(epoch) + i32(max_batch) +
+            u64(seed) + u8(1 if improve else 0) + i32(threads) +
+            f64(deadline_ms))
 
 
 def solve_result_up_to_trace():
@@ -146,6 +155,13 @@ def main():
     # (reserved 40 bytes per trace before the 12-byte ComponentTrace floor).
     write("regressions/forged_component_trace_count.bin",
           solve_result_up_to_trace() + u32(1000) + b"\x00" * 1000)
+    # Spec options outside their domain (reached the solver unchecked before
+    # the wire reader ran SolverOptions::check): a NaN deadline was UB in
+    # the deadline's integer conversion.
+    write("regressions/nan_deadline_spec.bin",
+          solver_spec("auto", deadline_ms=float("nan")))
+    write("regressions/threads_out_of_range_spec.bin",
+          solver_spec("auto", threads=257))
 
 
 if __name__ == "__main__":

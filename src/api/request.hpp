@@ -130,10 +130,11 @@ struct RequestContext {
 
   /// Resolves a deadline_ms option against the request's start instant (the
   /// single definition of deadline arithmetic, shared by Service::submit
-  /// and the free-function path); <= 0 means no deadline.
+  /// and the free-function path); <= 0 means no deadline, and so does NaN,
+  /// which a SolverOptions built without set() can carry.
   void set_deadline(std::chrono::steady_clock::time_point start,
                     double deadline_ms) {
-    if (deadline_ms <= 0 || deadline_ms > kMaxDeadlineMs) return;
+    if (!(deadline_ms > 0) || deadline_ms > kMaxDeadlineMs) return;
     has_deadline = true;
     deadline_at =
         start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(

@@ -16,17 +16,24 @@
 #include "core/bounds.hpp"
 #include "core/schedule.hpp"
 #include "online/engine_stats.hpp"
+#include "util/fields.hpp"
 
 namespace busytime {
 
 /// One entry of the per-component algorithm trace: which algorithm handled
 /// how many jobs.  Solvers that do not decompose report a single entry.
 struct ComponentTrace {
-  std::size_t jobs = 0;
+  std::uint64_t jobs = 0;
   std::string algo;
 
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("jobs", &ComponentTrace::jobs);
+    f("algo", &ComponentTrace::algo);
+  }
+
   friend bool operator==(const ComponentTrace& a, const ComponentTrace& b) {
-    return a.jobs == b.jobs && a.algo == b.algo;
+    return util::fields_equal(a, b);
   }
 };
 
@@ -68,6 +75,23 @@ struct SolveResult {
   /// fresh solve.  Cached results are bit-identical to the computed one
   /// except for this flag and wall_ms (zeroed on a hit).
   bool cached = false;
+
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("solver", &SolveResult::solver);
+    f("status", &SolveResult::status);
+    f("schedule", &SolveResult::schedule);
+    f("cost", &SolveResult::cost);
+    f("throughput", &SolveResult::throughput);
+    f("bounds", &SolveResult::bounds);
+    f("ratio_to_lower_bound", &SolveResult::ratio_to_lower_bound);
+    f("valid", &SolveResult::valid);
+    f("trace", &SolveResult::trace);
+    f("stats", &SolveResult::stats);
+    f("wall_ms", &SolveResult::wall_ms);
+    f("ignored_options", &SolveResult::ignored_options);
+    f("cached", &SolveResult::cached);
+  }
 
   /// One-line human-readable summary for CLIs and logs.
   std::string summary() const;

@@ -1,9 +1,12 @@
 #include "api/solver_spec.hpp"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "exec/thread_pool.hpp"
 
@@ -11,108 +14,113 @@ namespace busytime {
 
 namespace {
 
-std::int64_t parse_int(const std::string& key, const std::string& value) {
+/// Parses `value` as an option of member type T; domains are check()'s.
+template <typename T>
+T parse_value(const std::string& key, const std::string& value) {
   if (value.empty()) throw SpecError("option '" + key + "' needs a value");
-  std::size_t consumed = 0;
-  std::int64_t parsed = 0;
-  try {
-    parsed = std::stoll(value, &consumed);
-  } catch (const std::exception&) {
-    throw SpecError("option '" + key + "': '" + value + "' is not an integer");
+  if constexpr (std::is_same<T, bool>::value) {
+    if (value == "1" || value == "true") return true;
+    if (value == "0" || value == "false") return false;
+    throw SpecError("option '" + key + "': expected 0/1/true/false, got '" + value + "'");
+  } else {
+    const char* const begin = value.c_str();
+    char* end = nullptr;
+    errno = 0;
+    T parsed{};
+    bool in_range = true;
+    if constexpr (std::is_floating_point<T>::value) {
+      parsed = std::strtod(begin, &end);
+      // Overflow yields inf, which check() rejects.  Underflow to zero
+      // would turn a tiny deadline into "none"; a subnormal result is what
+      // value_of prints for one, so it parses back.
+      in_range = !(errno == ERANGE && parsed == 0);
+    } else if constexpr (std::is_signed<T>::value) {
+      const long long wide = std::strtoll(begin, &end, 10);
+      in_range = errno != ERANGE && wide >= std::numeric_limits<T>::min() &&
+                 wide <= std::numeric_limits<T>::max();
+      parsed = static_cast<T>(wide);
+    } else {
+      parsed = std::strtoull(begin, &end, 10);
+      in_range = errno != ERANGE;
+    }
+    if (end == begin) throw SpecError("option '" + key + "': '" + value + "' is not a number");
+    if (!in_range) throw SpecError("option '" + key + "': '" + value + "' is out of range");
+    if (end != begin + value.size())
+      throw SpecError("option '" + key + "': trailing garbage in '" + value + "'");
+    return parsed;
   }
-  if (consumed != value.size())
-    throw SpecError("option '" + key + "': trailing garbage in '" + value + "'");
-  return parsed;
 }
 
-bool parse_bool(const std::string& key, const std::string& value) {
-  if (value == "1" || value == "true") return true;
-  if (value == "0" || value == "false") return false;
-  throw SpecError("option '" + key + "': expected 0/1/true/false, got '" + value + "'");
+template <typename T>
+std::string render(T value) {
+  if constexpr (std::is_same<T, bool>::value) {
+    return value ? "1" : "0";
+  } else if constexpr (std::is_floating_point<T>::value) {
+    // Default ostream formatting switches to scientific notation for tiny
+    // values (std::to_string would render 1e-7 as "0.000000", silently
+    // turning a guaranteed-to-trip deadline into "no deadline" on reparse).
+    // 15 digits keep the text short; the few values they do not carry
+    // exactly (DBL_MAX would even round up to inf) take all 17.
+    std::ostringstream text;
+    text << std::setprecision(15) << value;
+    if (std::strtod(text.str().c_str(), nullptr) != value) {
+      text.str("");
+      text << std::setprecision(17) << value;
+    }
+    return text.str();
+  } else {
+    return std::to_string(value);
+  }
 }
 
 }  // namespace
 
+void SolverOptions::check(const std::string& assigned) const {
+  const auto fail = [](const char* key, const std::string& domain) {
+    throw SpecError(std::string("option '") + key + "' must be " + domain);
+  };
+  if (g < (assigned == "g" ? 1 : 0)) fail("g", "an integer >= 1");
+  if (budget < (assigned == "budget" ? 0 : -1)) fail("budget", ">= 0");
+  if (epoch_length < 1) fail("epoch", ">= 1");
+  if (max_batch < 1) fail("max_batch", "an integer >= 1");
+  if (threads < 0 || threads > exec::kMaxThreads)
+    fail("threads", "in [0, " + std::to_string(exec::kMaxThreads) + "]");
+  // inf/nan would reach the deadline duration_cast as UB (and an
+  // "infinite" deadline means no deadline, which is spelled 0).
+  if (!std::isfinite(deadline_ms) || deadline_ms < 0)
+    fail("deadline_ms", "a finite number >= 0");
+}
+
 void SolverOptions::set(const std::string& key, const std::string& value) {
-  if (key == "g") {
-    const std::int64_t v = parse_int(key, value);
-    if (v < 1 || v > std::numeric_limits<int>::max())
-      throw SpecError("option 'g' must be an integer >= 1");
-    g = static_cast<int>(v);
-  } else if (key == "budget") {
-    const std::int64_t v = parse_int(key, value);
-    if (v < 0) throw SpecError("option 'budget' must be >= 0");
-    budget = v;
-  } else if (key == "epoch" || key == "epoch_length") {
-    const std::int64_t v = parse_int(key, value);
-    if (v < 1) throw SpecError("option 'epoch' must be >= 1");
-    epoch_length = v;
-  } else if (key == "max_batch") {
-    const std::int64_t v = parse_int(key, value);
-    if (v < 1 || v > std::numeric_limits<int>::max())
-      throw SpecError("option 'max_batch' must be an integer >= 1");
-    max_batch = static_cast<int>(v);
-  } else if (key == "seed") {
-    seed = static_cast<std::uint64_t>(parse_int(key, value));
-  } else if (key == "improve") {
-    improve = parse_bool(key, value);
-  } else if (key == "threads") {
-    const std::int64_t v = parse_int(key, value);
-    if (v < 0 || v > exec::kMaxThreads)
-      throw SpecError("option 'threads' must be in [0, " +
-                      std::to_string(exec::kMaxThreads) + "]");
-    threads = static_cast<int>(v);
-  } else if (key == "deadline_ms") {
-    double parsed = 0;
-    std::size_t consumed = 0;
-    try {
-      parsed = std::stod(value, &consumed);
-    } catch (const std::exception&) {
-      throw SpecError("option 'deadline_ms': '" + value + "' is not a number");
-    }
-    if (consumed != value.size())
-      throw SpecError("option 'deadline_ms': trailing garbage in '" + value + "'");
-    // inf/nan would reach the deadline duration_cast as UB (and an
-    // "infinite" deadline means no deadline, which is spelled 0).
-    if (!std::isfinite(parsed) || parsed < 0)
-      throw SpecError("option 'deadline_ms' must be a finite number >= 0");
-    deadline_ms = parsed;
-  } else {
-    throw SpecError("unknown solver option '" + key + "'");
-  }
+  const std::string name = key == "epoch_length" ? "epoch" : key;
+  SolverOptions next = *this;
+  bool known = false;
+  fields([&](const char* field, auto member) {
+    if (name != field) return;
+    next.*member = parse_value<std::decay_t<decltype(next.*member)>>(name, value);
+    known = true;
+  });
+  if (!known) throw SpecError("unknown solver option '" + key + "'");
+  next.check(name);
+  *this = next;
 }
 
 std::vector<std::string> SolverOptions::non_default_keys() const {
   const SolverOptions defaults;
   std::vector<std::string> keys;
-  if (g != defaults.g) keys.push_back("g");
-  if (budget != defaults.budget) keys.push_back("budget");
-  if (epoch_length != defaults.epoch_length) keys.push_back("epoch");
-  if (max_batch != defaults.max_batch) keys.push_back("max_batch");
-  if (seed != defaults.seed) keys.push_back("seed");
-  if (improve != defaults.improve) keys.push_back("improve");
-  if (threads != defaults.threads) keys.push_back("threads");
-  if (deadline_ms != defaults.deadline_ms) keys.push_back("deadline_ms");
+  fields([&](const char* key, auto member) {
+    if (this->*member != defaults.*member) keys.push_back(key);
+  });
   return keys;
 }
 
 std::string SolverOptions::value_of(const std::string& key) const {
-  if (key == "g") return std::to_string(g);
-  if (key == "budget") return std::to_string(budget);
-  if (key == "epoch") return std::to_string(epoch_length);
-  if (key == "max_batch") return std::to_string(max_batch);
-  if (key == "seed") return std::to_string(seed);
-  if (key == "improve") return improve ? "1" : "0";
-  if (key == "threads") return std::to_string(threads);
-  if (key == "deadline_ms") {
-    // Default ostream formatting switches to scientific notation for tiny
-    // values (std::to_string would render 1e-7 as "0.000000", silently
-    // turning a guaranteed-to-trip deadline into "no deadline" on reparse).
-    std::ostringstream ms;
-    ms << std::setprecision(15) << deadline_ms;
-    return ms.str();
-  }
-  throw SpecError("unknown solver option '" + key + "'");
+  std::string text;
+  fields([&](const char* field, auto member) {
+    if (key == field) text = render(this->*member);
+  });
+  if (text.empty()) throw SpecError("unknown solver option '" + key + "'");
+  return text;
 }
 
 SolverOptions SolverOptions::parse(const std::string& text) {
@@ -136,10 +144,16 @@ SolverSpec SolverSpec::parse(const std::string& text) {
   SolverSpec spec;
   const std::size_t colon = text.find(':');
   spec.name = text.substr(0, colon);
-  if (spec.name.empty()) throw SpecError("solver spec has an empty name");
+  spec.check();
   if (colon != std::string::npos)
     spec.options = SolverOptions::parse(text.substr(colon + 1));
   return spec;
+}
+
+void SolverSpec::check() const {
+  if (name.empty()) throw SpecError("solver spec has an empty name");
+  if (name.find(':') != std::string::npos)
+    throw SpecError("solver name '" + name + "' holds the option separator ':'");
 }
 
 std::string SolverSpec::to_string() const {

@@ -67,8 +67,27 @@ struct SolverOptions {
   /// returns a SolveResult with status kDeadline and an empty schedule.
   double deadline_ms = 0;
 
-  /// Applies one "key=value" assignment; throws SpecError on unknown keys,
-  /// non-numeric values, or out-of-range values.
+  /// The option keys, in documented key order (also the wire order).
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("g", &SolverOptions::g);
+    f("budget", &SolverOptions::budget);
+    f("epoch", &SolverOptions::epoch_length);
+    f("max_batch", &SolverOptions::max_batch);
+    f("seed", &SolverOptions::seed);
+    f("improve", &SolverOptions::improve);
+    f("threads", &SolverOptions::threads);
+    f("deadline_ms", &SolverOptions::deadline_ms);
+  }
+
+  /// Throws SpecError naming the first option outside its domain.  g = 0
+  /// and budget = -1 are the "unset" defaults: valid in a record, but not
+  /// values a text spec may assign, so set() names the key it assigned.
+  void check(const std::string& assigned = {}) const;
+
+  /// Applies one "key=value" assignment ("epoch_length" is an alias of
+  /// "epoch"); throws SpecError on unknown keys, non-numeric values, or
+  /// out-of-range values, leaving the options unchanged.
   void set(const std::string& key, const std::string& value);
 
   /// Parses a comma-separated "k=v,k=v" option list ("" is valid and empty).
@@ -104,6 +123,16 @@ struct SolverSpec {
   /// Internal: callers set options.deadline_ms, `cancel`, and `trace`
   /// instead.  Never serialized.
   std::shared_ptr<const RequestContext> context;
+
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("name", &SolverSpec::name);
+    f("options", &SolverSpec::options);
+  }
+
+  /// Throws SpecError on a name to_string() could not print back: empty,
+  /// or holding the ':' that separates the options.
+  void check() const;
 
   /// Parses "name" or "name:k=v,k=v".  Throws SpecError on an empty name or
   /// malformed option list.

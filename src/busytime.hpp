@@ -22,7 +22,7 @@
 //   workload/       seeded synthetic instance generators
 //   sim/            event-driven machine/energy simulator + app mappings
 //   extensions/     Section 5 extensions (weighted, demands, ring, tree)
-//   util/           flags, PRNG, statistics, tables, bit ops
+//   util/           flags, PRNG, statistics, tables, bit ops, field lists
 #pragma once
 
 #include "algo/best_cut.hpp"
@@ -96,6 +96,7 @@
 #include "throughput/reduction.hpp"
 #include "util/bitops.hpp"
 #include "util/check.hpp"
+#include "util/fields.hpp"
 #include "util/flags.hpp"
 #include "util/fnv.hpp"
 #include "util/prng.hpp"

@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
 
 #include "core/instance.hpp"
 
@@ -18,6 +19,19 @@ struct CostBounds {
   Time span = 0;                ///< span(J): lower bound on OPT
   Time parallelism_num = 0;     ///< len(J); lower bound is len(J)/g
   int g = 1;
+
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("length", &CostBounds::length);
+    f("span", &CostBounds::span);
+    f("parallelism_num", &CostBounds::parallelism_num);
+    f("g", &CostBounds::g);
+  }
+
+  /// Every method below divides or scales by g.
+  void check() const {
+    if (g < 1) throw std::invalid_argument("bounds g must be >= 1");
+  }
 
   /// Best certified lower bound as exact comparison helpers.
   /// lower_bound_times_g() = max(span * g, len): OPT * g >= this.

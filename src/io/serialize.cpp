@@ -3,9 +3,12 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "io/json.hpp"
+#include "util/fields.hpp"
 
 namespace busytime {
 
@@ -219,6 +222,52 @@ namespace {
 
 constexpr const char* kResultFormat = "busytime-result-v1";
 
+/// A record as a JSON object: one key per field, in list order.
+template <typename T>
+json::Value fields_to_json(const T& record) {
+  json::Value object = json::Value::object();
+  T::fields([&](const char* key, auto member) {
+    using M = std::decay_t<decltype(record.*member)>;
+    if constexpr (std::is_integral<M>::value && !std::is_same<M, bool>::value)
+      object.set(key, static_cast<std::int64_t>(record.*member));
+    else
+      object.set(key, record.*member);
+  });
+  return object;
+}
+
+/// Reads the JSON object `object` into a record through its field list,
+/// then runs the record's check().  Keys in `optional` may be absent and
+/// keep the record's default; any other absent key is an error.
+template <typename T>
+T fields_from_json(const json::Value& object,
+                   const std::set<std::string>& optional = {}) {
+  T record;
+  T::fields([&](const char* key, auto member) {
+    if (optional.count(key) != 0 && object.find(key) == nullptr) return;
+    const json::Value& value = object.at(key);  // throws, naming the key
+    using M = std::decay_t<decltype(record.*member)>;
+    if constexpr (std::is_same<M, bool>::value) {
+      record.*member = value.as_bool();
+    } else if constexpr (std::is_integral<M>::value) {
+      const std::int64_t wide = value.as_int();
+      if (static_cast<std::int64_t>(static_cast<M>(wide)) != wide)
+        throw std::runtime_error(std::string("'") + key + "' is out of range");
+      record.*member = static_cast<M>(wide);
+    } else if constexpr (std::is_floating_point<M>::value) {
+      record.*member = value.as_double();
+    } else {
+      record.*member = value.as_string();
+    }
+  });
+  try {
+    util::check_fields(record);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(e.what());
+  }
+  return record;
+}
+
 }  // namespace
 
 std::string result_to_json(const SolveResult& result, int indent) {
@@ -241,38 +290,12 @@ json::Value result_to_json_value(const SolveResult& result) {
     ignored.push_back(key);
   root.set("ignored_options", std::move(ignored));
 
-  json::Value bounds = json::Value::object();
-  bounds.set("length", result.bounds.length);
-  bounds.set("span", result.bounds.span);
-  bounds.set("parallelism_num", result.bounds.parallelism_num);
-  bounds.set("g", result.bounds.g);
-  root.set("bounds", std::move(bounds));
-
+  root.set("bounds", fields_to_json(result.bounds));
   json::Value trace = json::Value::array();
-  for (const auto& entry : result.trace) {
-    json::Value t = json::Value::object();
-    t.set("jobs", static_cast<std::int64_t>(entry.jobs));
-    t.set("algo", entry.algo);
-    trace.push_back(std::move(t));
-  }
+  for (const ComponentTrace& entry : result.trace)
+    trace.push_back(fields_to_json(entry));
   root.set("trace", std::move(trace));
-
-  json::Value stats = json::Value::object();
-  stats.set("jobs_assigned", result.stats.jobs_assigned);
-  stats.set("machines_opened", result.stats.machines_opened);
-  stats.set("machines_closed", result.stats.machines_closed);
-  stats.set("open_machines", result.stats.open_machines);
-  stats.set("peak_open_machines", result.stats.peak_open_machines);
-  stats.set("active_jobs", result.stats.active_jobs);
-  stats.set("peak_active_jobs", result.stats.peak_active_jobs);
-  stats.set("jobs_cancelled", result.stats.jobs_cancelled);
-  stats.set("jobs_preempted", result.stats.jobs_preempted);
-  stats.set("cancels_ignored", result.stats.cancels_ignored);
-  stats.set("slots_recycled", result.stats.slots_recycled);
-  stats.set("busy_time_refunded", result.stats.busy_time_refunded);
-  stats.set("clock", result.stats.clock);
-  stats.set("online_cost", result.stats.online_cost);
-  root.set("stats", std::move(stats));
+  root.set("stats", fields_to_json(result.stats));
 
   json::Value assignment = json::Value::array();
   for (const MachineId m : result.schedule.assignment())
@@ -313,40 +336,14 @@ SolveResult result_from_json(const std::string& text) {
   result.ratio_to_lower_bound = root.at("ratio_to_lower_bound").as_double();
   result.wall_ms = root.at("wall_ms").as_double();
 
-  const json::Value& bounds = root.at("bounds");
-  result.bounds.length = bounds.at("length").as_int();
-  result.bounds.span = bounds.at("span").as_int();
-  result.bounds.parallelism_num = bounds.at("parallelism_num").as_int();
-  result.bounds.g = static_cast<int>(bounds.at("g").as_int());
-
-  for (const json::Value& entry : root.at("trace").as_array()) {
-    ComponentTrace t;
-    t.jobs = static_cast<std::size_t>(entry.at("jobs").as_int());
-    t.algo = entry.at("algo").as_string();
-    result.trace.push_back(std::move(t));
-  }
-
-  const json::Value& stats = root.at("stats");
-  result.stats.jobs_assigned = stats.at("jobs_assigned").as_int();
-  result.stats.machines_opened = stats.at("machines_opened").as_int();
-  result.stats.machines_closed = stats.at("machines_closed").as_int();
-  result.stats.open_machines = stats.at("open_machines").as_int();
-  result.stats.peak_open_machines = stats.at("peak_open_machines").as_int();
-  result.stats.active_jobs = stats.at("active_jobs").as_int();
-  result.stats.peak_active_jobs = stats.at("peak_active_jobs").as_int();
+  result.bounds = fields_from_json<CostBounds>(root.at("bounds"));
+  for (const json::Value& entry : root.at("trace").as_array())
+    result.trace.push_back(fields_from_json<ComponentTrace>(entry));
   // Retraction counters postdate the v1 format's first release; absent keys
   // (documents written before cancellation support) default to zero.
-  const auto optional_int = [&stats](const char* key) -> std::int64_t {
-    const json::Value* value = stats.find(key);
-    return value == nullptr ? 0 : value->as_int();
-  };
-  result.stats.jobs_cancelled = optional_int("jobs_cancelled");
-  result.stats.jobs_preempted = optional_int("jobs_preempted");
-  result.stats.cancels_ignored = optional_int("cancels_ignored");
-  result.stats.slots_recycled = optional_int("slots_recycled");
-  result.stats.busy_time_refunded = optional_int("busy_time_refunded");
-  result.stats.clock = stats.at("clock").as_int();
-  result.stats.online_cost = stats.at("online_cost").as_int();
+  result.stats = fields_from_json<EngineStats>(
+      root.at("stats"), {"jobs_cancelled", "jobs_preempted", "cancels_ignored",
+                         "slots_recycled", "busy_time_refunded"});
 
   std::vector<MachineId> assignment;
   for (const json::Value& m : root.at("schedule").as_array()) {

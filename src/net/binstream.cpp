@@ -1,5 +1,6 @@
 #include "net/binstream.hpp"
 
+#include <cstring>
 #include <limits>
 
 namespace busytime::net {
@@ -60,14 +61,6 @@ obinstream& operator>>(obinstream& m, Instance& inst) {
   return m;
 }
 
-ibinstream& operator<<(ibinstream& m, const CancelRecord& record) {
-  return m << record.job << record.at << record.preempt;
-}
-
-obinstream& operator>>(obinstream& m, CancelRecord& record) {
-  return m >> record.job >> record.at >> record.preempt;
-}
-
 ibinstream& operator<<(ibinstream& m, const EventTrace& trace) {
   // The canonicalized records travel; EventTrace's constructor re-runs the
   // (idempotent) canonicalization on the receiver, so both ends agree on
@@ -103,100 +96,26 @@ obinstream& operator>>(obinstream& m, Schedule& schedule) {
   return m;
 }
 
-ibinstream& operator<<(ibinstream& m, const ComponentTrace& trace) {
-  return m << static_cast<std::uint64_t>(trace.jobs) << trace.algo;
-}
-
-obinstream& operator>>(obinstream& m, ComponentTrace& trace) {
-  std::uint64_t jobs = 0;
-  m >> jobs >> trace.algo;
-  trace.jobs = static_cast<std::size_t>(jobs);
-  return m;
-}
-
-ibinstream& operator<<(ibinstream& m, const CostBounds& bounds) {
-  return m << bounds.length << bounds.span << bounds.parallelism_num
-           << bounds.g;
-}
-
-obinstream& operator>>(obinstream& m, CostBounds& bounds) {
-  m >> bounds.length >> bounds.span >> bounds.parallelism_num >> bounds.g;
-  if (bounds.g < 1) throw WireError("bounds g must be >= 1");
-  return m;
-}
-
-ibinstream& operator<<(ibinstream& m, const EngineStats& stats) {
-  return m << stats.jobs_assigned << stats.machines_opened
-           << stats.machines_closed << stats.open_machines
-           << stats.peak_open_machines << stats.active_jobs
-           << stats.peak_active_jobs << stats.jobs_cancelled
-           << stats.jobs_preempted << stats.cancels_ignored
-           << stats.slots_recycled << stats.busy_time_refunded << stats.clock
-           << stats.online_cost;
-}
-
-obinstream& operator>>(obinstream& m, EngineStats& stats) {
-  return m >> stats.jobs_assigned >> stats.machines_opened >>
-         stats.machines_closed >> stats.open_machines >>
-         stats.peak_open_machines >> stats.active_jobs >>
-         stats.peak_active_jobs >> stats.jobs_cancelled >>
-         stats.jobs_preempted >> stats.cancels_ignored >>
-         stats.slots_recycled >> stats.busy_time_refunded >> stats.clock >>
-         stats.online_cost;
-}
-
 ibinstream& operator<<(ibinstream& m, SolveStatus status) {
   return m << static_cast<std::uint8_t>(status);
 }
 
 obinstream& operator>>(obinstream& m, SolveStatus& status) {
-  const std::uint8_t byte = m.read_u8();
+  const auto byte = m.read<std::uint8_t>();
   if (byte > static_cast<std::uint8_t>(SolveStatus::kShedded))
     throw WireError("unknown SolveStatus " + std::to_string(byte));
   status = static_cast<SolveStatus>(byte);
   return m;
 }
 
-ibinstream& operator<<(ibinstream& m, const SolveResult& result) {
-  return m << result.solver << result.status << result.schedule << result.cost
-           << result.throughput << result.bounds
-           << result.ratio_to_lower_bound << result.valid << result.trace
-           << result.stats << result.wall_ms << result.ignored_options
-           << result.cached;
-}
-
 obinstream& operator>>(obinstream& m, SolveResult& result) {
-  m >> result.solver >> result.status >> result.schedule >> result.cost >>
-      result.throughput >> result.bounds >> result.ratio_to_lower_bound >>
-      result.valid >> result.trace >> result.stats >> result.wall_ms >>
-      result.ignored_options;
   // `cached` postdates the wire format's first release.  A SolveResult is
   // only ever an entire result-frame payload (never nested inside another
   // message), so "payload ends here" reliably means a pre-cache peer wrote
   // it; the flag must stay the last field for this to hold.
-  if (!m.done()) m >> result.cached;
-  return m;
-}
-
-ibinstream& operator<<(ibinstream& m, const SolverOptions& options) {
-  return m << options.g << options.budget << options.epoch_length
-           << options.max_batch << options.seed << options.improve
-           << options.threads << options.deadline_ms;
-}
-
-obinstream& operator>>(obinstream& m, SolverOptions& options) {
-  return m >> options.g >> options.budget >> options.epoch_length >>
-         options.max_batch >> options.seed >> options.improve >>
-         options.threads >> options.deadline_ms;
-}
-
-ibinstream& operator<<(ibinstream& m, const SolverSpec& spec) {
-  return m << spec.name << spec.options;
-}
-
-obinstream& operator>>(obinstream& m, SolverSpec& spec) {
-  m >> spec.name >> spec.options;
-  if (spec.name.empty()) throw WireError("solver spec has an empty name");
+  SolveResult::fields([&](const char* key, auto member) {
+    if (!(m.done() && std::strcmp(key, "cached") == 0)) m >> result.*member;
+  });
   return m;
 }
 

@@ -5,8 +5,10 @@
 // an `ibinstream` collects bytes through `operator<<`, an `obinstream`
 // replays them through `operator>>`, and every wire type gets exactly one
 // `<<`/`>>` pair that composes out of the pairs of its fields — no
-// per-field tags, no framing inside a payload.  Framing (message type +
-// length) lives one layer up in net/protocol.hpp.
+// per-field tags, no framing inside a payload.  A record with a field list
+// (util/fields.hpp) gets its pair from that list; the rest are written
+// here by hand.  Framing (message type + length) lives one layer up in
+// net/protocol.hpp.
 //
 // Encoding rules, fixed for the v1 wire format:
 //  * integers are little-endian, fixed width (u8/u16/u32/u64 and the
@@ -16,22 +18,23 @@
 //    so a round trip is bit-exact and the determinism contract extends
 //    across the wire;
 //  * strings and vectors are a u32 element count followed by the elements;
-//    optionals are a presence byte followed by the value when present.
+//  * a record is its fields in list order, which is declaration order.
 //
 // Decoding is defensive: obinstream throws WireError on any overrun, and
-// the domain-type readers validate the same invariants the text parsers do
-// (positive job lengths, g >= 1, ids in range), so a hostile payload can
-// never construct an invariant-breaking object or trigger UB.  Element
-// counts are bounds-checked against the remaining bytes before any
-// allocation, so a forged count cannot force an out-of-memory.
+// every reader runs the same invariant checks as the text parsers
+// (positive job lengths, g >= 1, ids in range, each record's check()), so
+// a hostile payload can never construct an invariant-breaking object or
+// trigger UB.  Element counts are bounds-checked against the remaining
+// bytes before any allocation, so a forged count cannot force an
+// out-of-memory.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "api/solve_result.hpp"
@@ -39,6 +42,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "online/event.hpp"
+#include "util/fields.hpp"
 
 namespace busytime::net {
 
@@ -89,17 +93,24 @@ inline U load_le(const char* src) noexcept {
   return v;
 }
 
+/// The unsigned word a scalar travels as: same width, same bits.  Other
+/// widths (long double) have no wire form.
+template <std::size_t Bytes>
+struct WordOfWidth;
+template <> struct WordOfWidth<1> { using type = std::uint8_t; };
+template <> struct WordOfWidth<2> { using type = std::uint16_t; };
+template <> struct WordOfWidth<4> { using type = std::uint32_t; };
+template <> struct WordOfWidth<8> { using type = std::uint64_t; };
+template <typename T>
+using WireWord = typename WordOfWidth<sizeof(T)>::type;
+
 /// True when an array of T in memory is already its busytime-wire-v1
-/// image, so a vector of T travels as one copy: the fixed-width scalars
-/// with their own `<<`/`>>` pair, on a little-endian host.  bool is not
-/// one of them (its reader rejects bytes other than 0 and 1).
+/// image, so a vector of T travels as one copy: the fixed-width scalars on
+/// a little-endian host.  bool is not one of them (its reader rejects
+/// bytes other than 0 and 1).
 template <typename T>
 inline constexpr bool kWireImageIsMemory =
-    kLittleEndianHost &&
-    (std::is_same<T, std::uint8_t>::value || std::is_same<T, std::uint16_t>::value ||
-     std::is_same<T, std::uint32_t>::value || std::is_same<T, std::uint64_t>::value ||
-     std::is_same<T, std::int32_t>::value || std::is_same<T, std::int64_t>::value ||
-     std::is_same<T, double>::value);
+    kLittleEndianHost && std::is_arithmetic<T>::value && !std::is_same<T, bool>::value;
 
 // ----------------------------------------------------------------- writer --
 
@@ -125,23 +136,19 @@ class ibinstream {
     buf_.reserve(capacity);
   }
 
-  void write_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void write_u16(std::uint16_t v) { write_word(v); }
-  void write_u32(std::uint32_t v) { write_word(v); }
-  void write_u64(std::uint64_t v) { write_word(v); }
+  /// Appends the unsigned word `v` little-endian.
+  template <typename U>
+  void write(U v) {
+    char bytes[sizeof(U)];
+    store_le(bytes, v);
+    buf_.append(bytes, sizeof(U));
+  }
 
   const std::string& buffer() const noexcept { return buf_; }
   std::string take() { return std::move(buf_); }
   std::size_t size() const noexcept { return buf_.size(); }
 
  private:
-  template <typename U>
-  void write_word(U v) {
-    char bytes[sizeof(U)];
-    store_le(bytes, v);
-    buf_.append(bytes, sizeof(U));
-  }
-
   std::string buf_;
 };
 
@@ -188,23 +195,16 @@ class obinstream {
     pos_ += n;
   }
 
-  std::uint8_t read_u8() {
-    require(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint16_t read_u16() { return read_word<std::uint16_t>(); }
-  std::uint32_t read_u32() { return read_word<std::uint32_t>(); }
-  std::uint64_t read_u64() { return read_word<std::uint64_t>(); }
-
- private:
+  /// Consumes one little-endian unsigned word.
   template <typename U>
-  U read_word() {
+  U read() {
     require(sizeof(U));
     const U v = load_le<U>(data_ + pos_);
     pos_ += sizeof(U);
     return v;
   }
 
+ private:
   const char* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -212,62 +212,42 @@ class obinstream {
 
 // ------------------------------------------------------------- primitives --
 
-inline ibinstream& operator<<(ibinstream& m, std::uint8_t v) { m.write_u8(v); return m; }
-inline ibinstream& operator<<(ibinstream& m, std::uint16_t v) { m.write_u16(v); return m; }
-inline ibinstream& operator<<(ibinstream& m, std::uint32_t v) { m.write_u32(v); return m; }
-inline ibinstream& operator<<(ibinstream& m, std::uint64_t v) { m.write_u64(v); return m; }
-inline ibinstream& operator<<(ibinstream& m, std::int32_t v) {
-  m.write_u32(static_cast<std::uint32_t>(v));
+/// Every scalar: integers as their two's-complement word, doubles as their
+/// bit pattern, bool as one byte.
+template <typename T, std::enable_if_t<std::is_arithmetic<T>::value, int> = 0>
+ibinstream& operator<<(ibinstream& m, T v) {
+  WireWord<T> word = 0;
+  if constexpr (std::is_same<T, bool>::value) {
+    word = v ? 1 : 0;
+  } else {
+    std::memcpy(&word, &v, sizeof(word));
+  }
+  m.write(word);
   return m;
 }
-inline ibinstream& operator<<(ibinstream& m, std::int64_t v) {
-  m.write_u64(static_cast<std::uint64_t>(v));
+
+template <typename T, std::enable_if_t<std::is_arithmetic<T>::value, int> = 0>
+obinstream& operator>>(obinstream& m, T& v) {
+  const WireWord<T> word = m.read<WireWord<T>>();
+  if constexpr (std::is_same<T, bool>::value) {
+    if (word > 1) throw WireError("bool byte must be 0 or 1");
+    v = word != 0;
+  } else {
+    std::memcpy(&v, &word, sizeof(v));
+  }
   return m;
 }
-inline ibinstream& operator<<(ibinstream& m, bool v) {
-  m.write_u8(v ? 1 : 0);
-  return m;
-}
-inline ibinstream& operator<<(ibinstream& m, double v) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t), "IEEE-754 doubles");
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  m.write_u64(bits);
-  return m;
-}
+
 inline ibinstream& operator<<(ibinstream& m, const std::string& s) {
   if (s.size() > UINT32_MAX)
     throw WireError("string exceeds the u32 wire length");
-  m.write_u32(static_cast<std::uint32_t>(s.size()));
+  m << static_cast<std::uint32_t>(s.size());
   m.raw(s.data(), s.size());
   return m;
 }
 
-inline obinstream& operator>>(obinstream& m, std::uint8_t& v) { v = m.read_u8(); return m; }
-inline obinstream& operator>>(obinstream& m, std::uint16_t& v) { v = m.read_u16(); return m; }
-inline obinstream& operator>>(obinstream& m, std::uint32_t& v) { v = m.read_u32(); return m; }
-inline obinstream& operator>>(obinstream& m, std::uint64_t& v) { v = m.read_u64(); return m; }
-inline obinstream& operator>>(obinstream& m, std::int32_t& v) {
-  v = static_cast<std::int32_t>(m.read_u32());
-  return m;
-}
-inline obinstream& operator>>(obinstream& m, std::int64_t& v) {
-  v = static_cast<std::int64_t>(m.read_u64());
-  return m;
-}
-inline obinstream& operator>>(obinstream& m, bool& v) {
-  const std::uint8_t byte = m.read_u8();
-  if (byte > 1) throw WireError("bool byte must be 0 or 1");
-  v = byte != 0;
-  return m;
-}
-inline obinstream& operator>>(obinstream& m, double& v) {
-  std::uint64_t bits = m.read_u64();
-  std::memcpy(&v, &bits, sizeof(v));
-  return m;
-}
 inline obinstream& operator>>(obinstream& m, std::string& s) {
-  const std::uint32_t n = m.read_u32();
+  const auto n = m.read<std::uint32_t>();
   m.require(n);
   s.resize(n);
   if (n > 0) m.raw(&s[0], n);
@@ -277,21 +257,25 @@ inline obinstream& operator>>(obinstream& m, std::string& s) {
 // -------------------------------------------------------------- compounds --
 
 /// Minimum bytes one T consumes on the wire — the amplification bound the
-/// vector reader checks a declared count against.  The primary template
-/// covers fixed-width scalars and falls back to 1 byte for anything else,
-/// so every compound type that travels in a vector specializes it with its
-/// true floor; otherwise a forged count reserves memory many times the
-/// payload size (a count claiming 1000 ComponentTraces, 40 bytes each in
-/// memory, in 1000 bytes of payload).  The floor must never exceed the
-/// minimal encoding, or valid payloads would be rejected.
+/// vector reader checks a declared count against.  Scalars take their
+/// width, a record the sum of its fields' floors, anything else 1 byte;
+/// the compound types that travel in vectors and have no field list
+/// specialize it with their true floor.  Otherwise a forged count reserves
+/// memory many times the payload size (a count claiming 1000 elements of
+/// 40 bytes in memory, in 1000 bytes of payload).  The floor must never
+/// exceed the minimal encoding, or valid payloads would be rejected.
 template <typename T>
 struct WireMinBytes {
-  static constexpr std::size_t value =
-      std::is_arithmetic<T>::value ? sizeof(T) : 1;
-};
-template <>
-struct WireMinBytes<bool> {
-  static constexpr std::size_t value = 1;
+  static constexpr std::size_t value = [] {
+    std::size_t sum = std::is_arithmetic<T>::value ? sizeof(T) : 1;
+    if constexpr (util::HasFields<T>::value) {
+      sum = 0;
+      T::fields([&sum](const char*, auto member) {
+        sum += WireMinBytes<std::decay_t<decltype(std::declval<T&>().*member)>>::value;
+      });
+    }
+    return sum;
+  }();
 };
 template <>
 struct WireMinBytes<std::string> {
@@ -305,14 +289,6 @@ template <>
 struct WireMinBytes<Job> {
   static constexpr std::size_t value = 32;  // interval + weight + demand
 };
-template <>
-struct WireMinBytes<CancelRecord> {
-  static constexpr std::size_t value = 13;  // i32 job + i64 at + bool
-};
-template <>
-struct WireMinBytes<ComponentTrace> {
-  static constexpr std::size_t value = 12;  // u64 jobs + u32 algo length
-};
 
 template <typename T>
 ibinstream& operator<<(ibinstream& m, const std::vector<T>& v) {
@@ -321,7 +297,7 @@ ibinstream& operator<<(ibinstream& m, const std::vector<T>& v) {
   // One reservation for the count and every element's floor: exact for
   // fixed-width elements, a lower bound for the rest.
   m.reserve_more(4 + v.size() * WireMinBytes<T>::value);
-  m.write_u32(static_cast<std::uint32_t>(v.size()));
+  m << static_cast<std::uint32_t>(v.size());
   if constexpr (kWireImageIsMemory<T>) {
     if (!v.empty()) m.raw(v.data(), v.size() * sizeof(T));
   } else {
@@ -332,7 +308,7 @@ ibinstream& operator<<(ibinstream& m, const std::vector<T>& v) {
 
 template <typename T>
 obinstream& operator>>(obinstream& m, std::vector<T>& v) {
-  const std::uint32_t n = m.read_u32();
+  const auto n = m.read<std::uint32_t>();
   // A count the remaining payload cannot hold is forged; reject before the
   // reserve so a hostile 4-byte count can neither amplify into a huge
   // allocation nor overflow the n * sizeof(T) reservation arithmetic.
@@ -352,31 +328,29 @@ obinstream& operator>>(obinstream& m, std::vector<T>& v) {
   return m;
 }
 
-template <typename T>
-ibinstream& operator<<(ibinstream& m, const std::optional<T>& v) {
-  m << v.has_value();
-  if (v.has_value()) m << *v;
+/// A record with a field list: its fields in list order.  The reader runs
+/// the record's check() and reports a violation as WireError.
+template <typename T, std::enable_if_t<util::HasFields<T>::value, int> = 0>
+ibinstream& operator<<(ibinstream& m, const T& record) {
+  T::fields([&](const char*, auto member) { m << record.*member; });
   return m;
 }
 
-template <typename T>
-obinstream& operator>>(obinstream& m, std::optional<T>& v) {
-  bool present = false;
-  m >> present;
-  if (present) {
-    T e{};
-    m >> e;
-    v = std::move(e);
-  } else {
-    v.reset();
+template <typename T, std::enable_if_t<util::HasFields<T>::value, int> = 0>
+obinstream& operator>>(obinstream& m, T& record) {
+  T::fields([&](const char*, auto member) { m >> record.*member; });
+  try {
+    util::check_fields(record);
+  } catch (const std::invalid_argument& e) {
+    throw WireError(e.what());
   }
   return m;
 }
 
 // -------------------------------------------------------------- wire types --
-// One pair per type; layouts documented in docs/FORMATS.md under
-// "busytime-wire-v1".  Readers validate the same invariants as the text
-// parsers and throw WireError on violation.
+// The layouts that are not a field list; documented in docs/FORMATS.md
+// under "busytime-wire-v1".  Readers validate the same invariants as the
+// text parsers and throw WireError on violation.
 
 ibinstream& operator<<(ibinstream& m, const Interval& iv);
 obinstream& operator>>(obinstream& m, Interval& iv);
@@ -387,39 +361,18 @@ obinstream& operator>>(obinstream& m, Job& job);
 ibinstream& operator<<(ibinstream& m, const Instance& inst);
 obinstream& operator>>(obinstream& m, Instance& inst);
 
-ibinstream& operator<<(ibinstream& m, const CancelRecord& record);
-obinstream& operator>>(obinstream& m, CancelRecord& record);
-
 ibinstream& operator<<(ibinstream& m, const EventTrace& trace);
 obinstream& operator>>(obinstream& m, EventTrace& trace);
 
 ibinstream& operator<<(ibinstream& m, const Schedule& schedule);
 obinstream& operator>>(obinstream& m, Schedule& schedule);
 
-ibinstream& operator<<(ibinstream& m, const ComponentTrace& trace);
-obinstream& operator>>(obinstream& m, ComponentTrace& trace);
-
-ibinstream& operator<<(ibinstream& m, const CostBounds& bounds);
-obinstream& operator>>(obinstream& m, CostBounds& bounds);
-
-ibinstream& operator<<(ibinstream& m, const EngineStats& stats);
-obinstream& operator>>(obinstream& m, EngineStats& stats);
-
 ibinstream& operator<<(ibinstream& m, SolveStatus status);
 obinstream& operator>>(obinstream& m, SolveStatus& status);
 
-ibinstream& operator<<(ibinstream& m, const SolveResult& result);
+/// SolveResult is written from its field list; its reader walks the same
+/// list but lets the trailing `cached` byte be absent.
 obinstream& operator>>(obinstream& m, SolveResult& result);
-
-/// SolverOptions / SolverSpec serialize every typed option field (defaults
-/// included), so a remote solve sees exactly the options the client built.
-/// The runtime-only members (cancel token, trace context, request context)
-/// are never serialized, matching their in-process contract.
-ibinstream& operator<<(ibinstream& m, const SolverOptions& options);
-obinstream& operator>>(obinstream& m, SolverOptions& options);
-
-ibinstream& operator<<(ibinstream& m, const SolverSpec& spec);
-obinstream& operator>>(obinstream& m, SolverSpec& spec);
 
 /// Convenience: serialize one value into a standalone payload string.
 template <typename T>

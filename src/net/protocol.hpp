@@ -147,9 +147,8 @@ inline std::string encode_frame(MsgType type, const std::string& payload = {}) {
                     " bytes exceeds the " + std::to_string(kMaxPayloadBytes) +
                     "-byte cap");
   ibinstream header;
-  header.write_u32(kMagic);
-  header.write_u8(static_cast<std::uint8_t>(type));
-  header.write_u32(static_cast<std::uint32_t>(payload.size()));
+  header << kMagic << static_cast<std::uint8_t>(type)
+         << static_cast<std::uint32_t>(payload.size());
   std::string out = header.take();
   out += payload;
   return out;
@@ -158,8 +157,7 @@ inline std::string encode_frame(MsgType type, const std::string& payload = {}) {
 /// Encodes a typed error frame.
 inline std::string encode_error(WireErrorCode code, const std::string& message) {
   ibinstream body;
-  body.write_u16(static_cast<std::uint16_t>(code));
-  body << message;
+  body << static_cast<std::uint16_t>(code) << message;
   return encode_frame(MsgType::kError, body.buffer());
 }
 
@@ -199,12 +197,12 @@ class FrameDecoder {
     compact();
     if (buf_.size() - pos_ < kFrameHeaderBytes) return Status::kNeedMore;
     obinstream header(buf_.data() + pos_, kFrameHeaderBytes);
-    const std::uint32_t magic = header.read_u32();
+    const auto magic = header.read<std::uint32_t>();
     if (magic != kMagic)
       return poison(WireErrorCode::kBadMagic,
                     "frame does not start with the busytime-wire-v1 magic");
-    const std::uint8_t type = header.read_u8();
-    const std::uint32_t length = header.read_u32();
+    const auto type = header.read<std::uint8_t>();
+    const auto length = header.read<std::uint32_t>();
     if (length > max_payload_)
       return poison(WireErrorCode::kOversizedFrame,
                     "declared payload of " + std::to_string(length) +
@@ -261,21 +259,16 @@ struct WireSolverInfo {
   double ratio = 0;
   bool needs_budget = false;
   std::string description;
+
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("name", &WireSolverInfo::name);
+    f("kind", &WireSolverInfo::kind);
+    f("optimality", &WireSolverInfo::optimality);
+    f("ratio", &WireSolverInfo::ratio);
+    f("needs_budget", &WireSolverInfo::needs_budget);
+    f("description", &WireSolverInfo::description);
+  }
 };
-
-template <>
-struct WireMinBytes<WireSolverInfo> {
-  static constexpr std::size_t value = 25;  // four u32 lengths + f64 + bool
-};
-
-inline ibinstream& operator<<(ibinstream& m, const WireSolverInfo& info) {
-  return m << info.name << info.kind << info.optimality << info.ratio
-           << info.needs_budget << info.description;
-}
-
-inline obinstream& operator>>(obinstream& m, WireSolverInfo& info) {
-  return m >> info.name >> info.kind >> info.optimality >> info.ratio >>
-         info.needs_budget >> info.description;
-}
 
 }  // namespace busytime::net

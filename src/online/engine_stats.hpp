@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/time_types.hpp"
+#include "util/fields.hpp"
 
 namespace busytime {
 
@@ -52,20 +53,26 @@ struct EngineStats {
 
   std::string summary() const;
 
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("jobs_assigned", &EngineStats::jobs_assigned);
+    f("machines_opened", &EngineStats::machines_opened);
+    f("machines_closed", &EngineStats::machines_closed);
+    f("open_machines", &EngineStats::open_machines);
+    f("peak_open_machines", &EngineStats::peak_open_machines);
+    f("active_jobs", &EngineStats::active_jobs);
+    f("peak_active_jobs", &EngineStats::peak_active_jobs);
+    f("jobs_cancelled", &EngineStats::jobs_cancelled);
+    f("jobs_preempted", &EngineStats::jobs_preempted);
+    f("cancels_ignored", &EngineStats::cancels_ignored);
+    f("slots_recycled", &EngineStats::slots_recycled);
+    f("busy_time_refunded", &EngineStats::busy_time_refunded);
+    f("clock", &EngineStats::clock);
+    f("online_cost", &EngineStats::online_cost);
+  }
+
   friend bool operator==(const EngineStats& a, const EngineStats& b) noexcept {
-    return a.jobs_assigned == b.jobs_assigned &&
-           a.machines_opened == b.machines_opened &&
-           a.machines_closed == b.machines_closed &&
-           a.open_machines == b.open_machines &&
-           a.peak_open_machines == b.peak_open_machines &&
-           a.active_jobs == b.active_jobs &&
-           a.peak_active_jobs == b.peak_active_jobs &&
-           a.jobs_cancelled == b.jobs_cancelled &&
-           a.jobs_preempted == b.jobs_preempted &&
-           a.cancels_ignored == b.cancels_ignored &&
-           a.slots_recycled == b.slots_recycled &&
-           a.busy_time_refunded == b.busy_time_refunded &&
-           a.clock == b.clock && a.online_cost == b.online_cost;
+    return util::fields_equal(a, b);
   }
   friend bool operator!=(const EngineStats& a, const EngineStats& b) noexcept {
     return !(a == b);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "util/fields.hpp"
 
 namespace busytime {
 
@@ -46,8 +47,15 @@ struct CancelRecord {
   Time at = 0;
   bool preempt = false;
 
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("job", &CancelRecord::job);
+    f("at", &CancelRecord::at);
+    f("preempt", &CancelRecord::preempt);
+  }
+
   friend bool operator==(const CancelRecord& a, const CancelRecord& b) noexcept {
-    return a.job == b.job && a.at == b.at && a.preempt == b.preempt;
+    return util::fields_equal(a, b);
   }
   friend bool operator!=(const CancelRecord& a, const CancelRecord& b) noexcept {
     return !(a == b);

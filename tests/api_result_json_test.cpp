@@ -169,5 +169,53 @@ TEST(ResultJson, RejectsWrongFormatAndMissingFields) {
   EXPECT_THROW(result_from_json(pruned.dump()), std::runtime_error);
 }
 
+/// `object` rebuilt with `key` replaced by `value`, or dropped when `value`
+/// is null (json::Value::set appends, so edits rebuild the object).
+json::Value with_key(const json::Value& object, const std::string& key,
+                     const json::Value& value) {
+  json::Value out = json::Value::object();
+  for (const auto& [k, v] : object.as_object()) {
+    if (k != key) {
+      out.set(k, v);
+    } else if (!value.is_null()) {
+      out.set(k, value);
+    }
+  }
+  return out;
+}
+
+TEST(ResultJson, NestedRecordsKeepTheirCompatibilityRules) {
+  const json::Value doc = json::Value::parse(result_to_json(golden_result()));
+  const json::Value& stats = doc.at("stats");
+  // Retraction counters postdate the format's first release: absent, each
+  // reads 0.  Every other stats key is required.
+  for (const char* key : {"jobs_cancelled", "jobs_preempted", "cancels_ignored",
+                          "slots_recycled", "busy_time_refunded"}) {
+    SCOPED_TRACE(key);
+    const json::Value nonzero = with_key(doc, "stats", with_key(stats, key, json::Value(5)));
+    const json::Value absent = with_key(doc, "stats", with_key(stats, key, json::Value()));
+    EXPECT_NE(result_from_json(nonzero.dump()).stats, golden_result().stats);
+    EXPECT_EQ(result_from_json(absent.dump()).stats, golden_result().stats);
+  }
+  for (const char* key : {"clock", "online_cost", "jobs_assigned"}) {
+    SCOPED_TRACE(key);
+    const json::Value absent = with_key(doc, "stats", with_key(stats, key, json::Value()));
+    EXPECT_THROW(result_from_json(absent.dump()), std::runtime_error);
+  }
+  // The readers run CostBounds::check(): g = 0 would divide by zero.
+  const json::Value zero_g =
+      with_key(doc, "bounds", with_key(doc.at("bounds"), "g", json::Value(0)));
+  try {
+    result_from_json(zero_g.dump());
+    ADD_FAILURE() << "bounds.g = 0 loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("g must be >= 1"), std::string::npos) << e.what();
+  }
+  // Integers that do not fit their field are rejected, not truncated.
+  const json::Value wide_g = with_key(
+      doc, "bounds", with_key(doc.at("bounds"), "g", json::Value(std::int64_t{1} << 32)));
+  EXPECT_THROW(result_from_json(wide_g.dump()), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace busytime

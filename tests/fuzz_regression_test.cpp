@@ -199,6 +199,12 @@ TEST(FuzzRegression, ForgedComponentTraceCountIsRejectedBeforeAllocation) {
                                             "forged element count");
 }
 
+TEST(FuzzRegression, OutOfDomainSpecOptionsAreRejectedByName) {
+  // Each option passes the wire reader only inside the domain set() allows.
+  expect_rejected_by<busytime::SolverSpec>("nan_deadline_spec.bin", "'deadline_ms'");
+  expect_rejected_by<busytime::SolverSpec>("threads_out_of_range_spec.bin", "'threads'");
+}
+
 // ---- seed health: the committed good seeds must stay decodable, so the
 // ---- fuzzers start from live coverage, not stale bytes -------------------
 

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,9 +193,8 @@ TEST(NetServer, FrameDecoderFlagsMidFrameAndPoisonsOnBadMagic) {
 
 TEST(NetServer, FrameDecoderRejectsOversizedDeclaredLength) {
   net::ibinstream header;
-  header.write_u32(net::kMagic);
-  header.write_u8(static_cast<std::uint8_t>(net::MsgType::kPing));
-  header.write_u32(1 << 20);
+  header << net::kMagic << static_cast<std::uint8_t>(net::MsgType::kPing)
+         << std::uint32_t{1 << 20};
   net::FrameDecoder decoder(/*max_payload=*/1024);
   decoder.feed(header.buffer());
   net::Frame frame;
@@ -314,9 +314,8 @@ TEST(NetServer, OversizedFrameGetsTypedErrorThenClose) {
   ServerFixture fx(config);
   RawConn conn(fx.server.port());
   net::ibinstream header;
-  header.write_u32(net::kMagic);
-  header.write_u8(static_cast<std::uint8_t>(net::MsgType::kLoadInstance));
-  header.write_u32(1u << 30);  // 1 GiB declared payload
+  header << net::kMagic << static_cast<std::uint8_t>(net::MsgType::kLoadInstance)
+         << std::uint32_t{1u << 30};  // 1 GiB declared payload
   conn.send_bytes(header.buffer());
   expect_error_reply(conn, net::WireErrorCode::kOversizedFrame);
   EXPECT_TRUE(conn.reaches_eof());
@@ -327,9 +326,8 @@ TEST(NetServer, UnknownMessageTypeGetsTypedErrorAndConnectionSurvives) {
   ServerFixture fx;
   RawConn conn(fx.server.port());
   net::ibinstream frame;
-  frame.write_u32(net::kMagic);
-  frame.write_u8(200);  // no such MsgType
-  frame.write_u32(0);
+  frame << net::kMagic << std::uint8_t{200}  // no such MsgType
+        << std::uint32_t{0};
   conn.send_bytes(frame.buffer());
   expect_error_reply(conn, net::WireErrorCode::kUnknownMessage);
   EXPECT_TRUE(fx.wait_counter(obs::metric::kNetDecodeErrors, 1));
@@ -348,6 +346,39 @@ TEST(NetServer, BadPayloadGetsTypedErrorAndConnectionSurvives) {
   EXPECT_TRUE(fx.wait_counter(obs::metric::kNetDecodeErrors, 1));
   conn.send_bytes(net::encode_frame(net::MsgType::kPing));
   EXPECT_EQ(conn.read_frame().type, net::MsgType::kPong);
+
+  // Well-framed solves whose options fail their check on arrival.
+  conn.send_bytes(net::encode_frame(net::MsgType::kLoadInstance,
+                                    net::to_payload(small_instance())));
+  const net::Frame loaded = conn.read_frame();
+  ASSERT_EQ(loaded.type, net::MsgType::kHandle);
+  std::uint64_t handle = 0;
+  net::obinstream reply(loaded.payload);
+  reply >> handle;
+  const auto solve_frame = [handle](const SolverSpec& spec) {
+    net::ibinstream body;
+    body << handle << spec;
+    return net::encode_frame(net::MsgType::kSolve, body.buffer());
+  };
+  SolverSpec nan_deadline;
+  nan_deadline.options.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  SolverSpec zero_batch;
+  zero_batch.options.max_batch = 0;
+  std::uint64_t errors = 1;
+  for (const SolverSpec& spec : {nan_deadline, zero_batch}) {
+    conn.send_bytes(solve_frame(spec));
+    const net::RemoteError error =
+        expect_error_reply(conn, net::WireErrorCode::kBadPayload);
+    EXPECT_NE(std::string(error.what()).find(spec.options.non_default_keys().at(0)),
+              std::string::npos)
+        << error.what();
+    EXPECT_TRUE(fx.wait_counter(obs::metric::kNetDecodeErrors, ++errors));
+  }
+  // The connection keeps serving.
+  conn.send_bytes(solve_frame(SolverSpec{}));
+  const net::Frame result = conn.read_frame();
+  ASSERT_EQ(result.type, net::MsgType::kResult);
+  EXPECT_EQ(net::from_payload<SolveResult>(result.payload).status, SolveStatus::kOk);
 }
 
 TEST(NetServer, MidFrameDisconnectCountsAsDecodeErrorWithoutUB) {

@@ -7,17 +7,21 @@
 // target (serialization is reactor-adjacent code).
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "io/serialize.hpp"
 #include "net/binstream.hpp"
 #include "net/protocol.hpp"
+#include "util/fields.hpp"
 #include "workload/cancellable.hpp"
 #include "workload/generators.hpp"
 
@@ -150,10 +154,6 @@ TEST(NetWire, DoublesRoundTripBitExactly) {
 TEST(NetWire, VectorsAndOptionalsCompose) {
   const std::vector<std::string> words = {"", "a", "bb", "ccc"};
   EXPECT_EQ(from_payload<std::vector<std::string>>(to_payload(words)), words);
-
-  std::optional<std::int64_t> some = -42, none;
-  EXPECT_EQ(from_payload<std::optional<std::int64_t>>(to_payload(some)), some);
-  EXPECT_EQ(from_payload<std::optional<std::int64_t>>(to_payload(none)), none);
 }
 
 // ----------------------------------------------- text -> binary agreement
@@ -302,6 +302,167 @@ TEST(NetWire, SolverSpecCarriesEveryOptionField) {
   EXPECT_EQ(back.options.deadline_ms, 45.5);
 }
 
+// ----------------------------------------------------------- layout pins
+
+std::string hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out += kDigits[static_cast<unsigned char>(c) >> 4];
+    out += kDigits[static_cast<unsigned char>(c) & 15];
+  }
+  return out;
+}
+
+EngineStats counting_stats() {
+  EngineStats s;
+  s.jobs_assigned = 1;
+  s.machines_opened = 2;
+  s.machines_closed = 3;
+  s.open_machines = 4;
+  s.peak_open_machines = 5;
+  s.active_jobs = 6;
+  s.peak_active_jobs = 7;
+  s.jobs_cancelled = 8;
+  s.jobs_preempted = 9;
+  s.cancels_ignored = 10;
+  s.slots_recycled = 11;
+  s.busy_time_refunded = 12;
+  s.clock = 13;
+  s.online_cost = 14;
+  return s;
+}
+
+SolveResult every_field_set() {
+  SolveResult r;
+  r.solver = "auto";
+  r.status = SolveStatus::kDeadline;
+  r.schedule = Schedule({0, 1, Schedule::kUnscheduled, 2});
+  r.cost = 123;
+  r.throughput = 3;
+  r.bounds = CostBounds{100, 50, 200, 4};
+  r.ratio_to_lower_bound = 1.25;
+  r.valid = true;
+  r.trace = {{3, "first_fit"}};
+  r.stats = counting_stats();
+  r.wall_ms = 0.5;
+  r.ignored_options = {"epoch"};
+  r.cached = true;
+  return r;
+}
+
+TEST(NetWire, FieldListLayoutsArePinned) {
+  // Each record's fields all differ, so a reordered or retyped field list
+  // changes these bytes.  They were captured from the hand-written
+  // per-type codecs that the field lists replaced.
+  SolverSpec spec;
+  spec.name = "epoch_hybrid";
+  spec.options.g = 7;
+  spec.options.budget = 1234;
+  spec.options.epoch_length = 512;
+  spec.options.max_batch = 99;
+  spec.options.seed = 0xFEEDFACE;
+  spec.options.improve = true;
+  spec.options.threads = 3;
+  spec.options.deadline_ms = 45.5;
+  EXPECT_EQ(hex(to_payload(spec)),
+            "0c00000065706f63685f68796272696407000000d20400000000000000020000"
+            "0000000063000000cefaedfe0000000001030000000000000000c04640");
+  EXPECT_EQ(hex(to_payload(counting_stats())),
+            "0100000000000000020000000000000003000000000000000400000000000000"
+            "0500000000000000060000000000000007000000000000000800000000000000"
+            "09000000000000000a000000000000000b000000000000000c00000000000000"
+            "0d000000000000000e00000000000000");
+  EXPECT_EQ(hex(to_payload(CostBounds{100, 50, 200, 4})),
+            "64000000000000003200000000000000c80000000000000004000000");
+  EXPECT_EQ(hex(to_payload(ComponentTrace{3, "first_fit"})),
+            "03000000000000000900000066697273745f666974");
+  EXPECT_EQ(hex(to_payload(CancelRecord{7, 42, true})), "070000002a0000000000000001");
+  net::WireSolverInfo info;
+  info.name = "first_fit";
+  info.kind = "heuristic";
+  info.optimality = "4-approx";
+  info.ratio = 4.0;
+  info.needs_budget = true;
+  info.description = "arrival-order first fit";
+  EXPECT_EQ(hex(to_payload(info)),
+            "0900000066697273745f6669740900000068657572697374696308000000342d"
+            "617070726f78000000000000104001170000006172726976616c2d6f72646572"
+            "20666972737420666974");
+  EXPECT_EQ(hex(to_payload(every_field_set())),
+            "040000006175746f01040000000000000001000000ffffffff020000007b0000"
+            "0000000000030000000000000064000000000000003200000000000000c80000"
+            "000000000004000000000000000000f43f010100000003000000000000000900"
+            "000066697273745f666974010000000000000002000000000000000300000000"
+            "0000000400000000000000050000000000000006000000000000000700000000"
+            "000000080000000000000009000000000000000a000000000000000b00000000"
+            "0000000c000000000000000d000000000000000e000000000000000000000000"
+            "00e03f010000000500000065706f636801");
+}
+
+TEST(NetWire, SolveResultMayOmitOnlyItsTrailingCachedByte) {
+  const std::string payload = to_payload(every_field_set());
+  // A peer from before the result cache stops before `cached`.
+  const std::string old_peer = payload.substr(0, payload.size() - 1);
+  const SolveResult back = from_payload<SolveResult>(old_peer);
+  EXPECT_FALSE(back.cached);
+  EXPECT_EQ(to_payload(back), old_peer + '\0');
+  // Any shorter payload is truncated, not old.
+  EXPECT_THROW(from_payload<SolveResult>(payload.substr(0, payload.size() - 2)),
+               WireError);
+}
+
+TEST(NetWire, EveryDecodedSpecParsesBackFromItsText) {
+  // Random specs, in and out of every option's domain: whatever the wire
+  // reader accepts must print a to_string() that parses back to it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::string> names = {"auto", "epoch_hybrid", "",
+                                          "a:b", "x,y=z", "two words"};
+  const std::vector<int> gs = {0, 1, 7, -1, INT_MAX, INT_MIN};
+  const std::vector<Time> budgets = {-1, 0, 1234, -2, INT64_MAX, INT64_MIN};
+  const std::vector<Time> epochs = {1024, 1, 0, -5, INT64_MAX};
+  const std::vector<int> batches = {4096, 1, 0, -1, INT_MAX};
+  const std::vector<std::uint64_t> seeds = {1, 0, UINT64_MAX, 1ull << 63};
+  const std::vector<int> threads = {1, 0, 256, 257, -1};
+  const std::vector<double> deadlines = {
+      0, -0.0, 1e-6, 0.1, 45.5, 1e300, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(), 1e-310, nan, inf, -1};
+  std::mt19937_64 rng(16);
+  const auto pick = [&rng](const auto& pool) { return pool[rng() % pool.size()]; };
+  int accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    SolverSpec spec;
+    spec.name = pick(names);
+    spec.options.g = pick(gs);
+    spec.options.budget = pick(budgets);
+    spec.options.epoch_length = pick(epochs);
+    spec.options.max_batch = pick(batches);
+    spec.options.seed = pick(seeds);
+    spec.options.improve = rng() % 2 == 1;
+    spec.options.threads = pick(threads);
+    spec.options.deadline_ms = pick(deadlines);
+    if (rng() % 2 == 0) {  // any non-negative double, subnormals included
+      const std::uint64_t bits = rng() >> 1;
+      std::memcpy(&spec.options.deadline_ms, &bits, sizeof(bits));
+    }
+    SolverSpec decoded;
+    try {
+      decoded = from_payload<SolverSpec>(to_payload(spec));
+    } catch (const WireError&) {
+      continue;
+    }
+    ++accepted;
+    const std::string text = decoded.to_string();
+    SolverSpec reparsed;
+    ASSERT_NO_THROW(reparsed = SolverSpec::parse(text)) << text;
+    EXPECT_EQ(reparsed.name, decoded.name) << text;
+    EXPECT_TRUE(util::fields_equal(reparsed.options, decoded.options)) << text;
+    EXPECT_EQ(reparsed.to_string(), text);
+  }
+  EXPECT_GT(accepted, 500);
+}
+
 // -------------------------------------------------------------- defensive
 
 TEST(NetWire, TruncatedPayloadsThrowWireError) {
@@ -321,7 +482,7 @@ TEST(NetWire, TrailingBytesAreRejected) {
 
 TEST(NetWire, ForgedVectorCountFailsBeforeAllocating) {
   ibinstream m;
-  m.write_u32(0xFFFFFFFFu);  // 4 billion jobs in a 4-byte payload
+  m << std::uint32_t{0xFFFFFFFFu};  // 4 billion jobs in a 4-byte payload
   EXPECT_THROW(from_payload<std::vector<Job>>(m.buffer()), WireError);
 }
 
@@ -341,7 +502,7 @@ void expect_wire_error(const std::string& payload, const std::string& what) {
 /// one byte, too few for 1000 of the real minimum.
 std::string forged_count_of_1000() {
   ibinstream m;
-  m.write_u32(1000);
+  m << std::uint32_t{1000};
   m.raw(std::string(1000, '\0').data(), 1000);
   return m.take();
 }
@@ -360,9 +521,14 @@ TEST(NetWire, ForgedCountsOfVariableSizeElementsFailBeforeAllocating) {
     << std::int64_t{0} << CostBounds{} << 0.0 << true;
   m.raw(forged.data(), forged.size());
   expect_wire_error<SolveResult>(m.buffer(), "forged element count");
-  // The floors are exact: the smallest real element still decodes.
+  // The floors, summed from the field lists, are exact: the smallest real
+  // element still decodes.
+  EXPECT_EQ(net::WireMinBytes<ComponentTrace>::value, 12u);
+  EXPECT_EQ(net::WireMinBytes<net::WireSolverInfo>::value, 25u);
+  EXPECT_EQ(net::WireMinBytes<CancelRecord>::value, 13u);
   EXPECT_EQ(to_payload(std::vector<ComponentTrace>(1)).size(), 4u + 12u);
   EXPECT_EQ(to_payload(std::vector<net::WireSolverInfo>(1)).size(), 4u + 25u);
+  EXPECT_EQ(to_payload(std::vector<CancelRecord>(1)).size(), 4u + 13u);
   EXPECT_EQ(from_payload<std::vector<ComponentTrace>>(
                 to_payload(std::vector<ComponentTrace>(3))).size(), 3u);
 }
@@ -394,18 +560,43 @@ TEST(NetWire, InvariantViolatingPayloadsAreRejected) {
   }
   {  // bool encoded as 2
     ibinstream m;
-    m.write_u8(2);
+    m << std::uint8_t{2};
     expect_wire_error<bool>(m.buffer(), "bool byte must be 0 or 1");
   }
   {  // unknown SolveStatus byte
     ibinstream m;
-    m.write_u8(250);
+    m << std::uint8_t{250};
     expect_wire_error<SolveStatus>(m.buffer(), "unknown SolveStatus");
   }
   {  // empty solver name
     ibinstream m;
     m << std::string() << SolverOptions{};
     expect_wire_error<SolverSpec>(m.buffer(), "empty name");
+  }
+  // One SolverSpec per option rule of SolverOptions::check(); each must be
+  // rejected on arrival, naming the option.
+  using Edit = void (*)(SolverOptions&);
+  const std::pair<const char*, Edit> option_cases[] = {
+      {"'deadline_ms'", [](SolverOptions& o) { o.deadline_ms = std::nan(""); }},
+      {"'deadline_ms'",
+       [](SolverOptions& o) { o.deadline_ms = std::numeric_limits<double>::infinity(); }},
+      {"'deadline_ms'", [](SolverOptions& o) { o.deadline_ms = -1; }},
+      {"'threads'", [](SolverOptions& o) { o.threads = -1; }},
+      {"'threads'", [](SolverOptions& o) { o.threads = 257; }},
+      {"'max_batch'", [](SolverOptions& o) { o.max_batch = 0; }},
+      {"'epoch'", [](SolverOptions& o) { o.epoch_length = 0; }},
+      {"'g'", [](SolverOptions& o) { o.g = -1; }},
+      {"'budget'", [](SolverOptions& o) { o.budget = -2; }},
+  };
+  for (const auto& [option, edit] : option_cases) {
+    SolverSpec spec;
+    edit(spec.options);
+    expect_wire_error<SolverSpec>(to_payload(spec), option);
+  }
+  {  // a name whose ':' would split it on reparse
+    SolverSpec spec;
+    spec.name = "auto:g=2";
+    expect_wire_error<SolverSpec>(to_payload(spec), "option separator");
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <exception>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -457,6 +458,22 @@ TEST(ServiceFacade, ExpiredDeadlineCompletesWithDeadlineStatus) {
   // A generous deadline never trips.
   spec.options.deadline_ms = 60000;
   EXPECT_EQ(service.submit(handle, spec).get().status, SolveStatus::kOk);
+}
+
+TEST(ServiceFacade, NanDeadlineSetDirectlyMeansNoDeadline) {
+  // set() and the wire reader reject a NaN deadline, but options filled in
+  // directly can still carry one.  It must mean "no deadline" and never
+  // reach the integer conversion of the deadline instant, where it is UB.
+  const Instance inst = test_trace(100, /*seed=*/9);
+  Service service(ServiceConfig{2});
+  const InstanceHandle handle = service.load(inst);
+  SolverSpec spec;
+  spec.name = "auto";
+  spec.options.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  const SolveResult result = service.submit(handle, spec).get();
+  EXPECT_EQ(result.status, SolveStatus::kOk);
+  EXPECT_TRUE(result.valid);
+  EXPECT_EQ(counter(service, obs::metric::kServiceDeadlineExpired), 0u);
 }
 
 TEST(ServiceFacade, CancelTokenCompletesWithCancelledStatus) {
