@@ -15,9 +15,16 @@
 //    of the tail, amortized in-place) plus a contiguous increment pass.  No
 //    nodes, no pointers, no allocator traffic per breakpoint — the scan is
 //    memory-bandwidth-bound, which is the whole point (the node-based
-//    std::map version this replaces spent its time pointer-chasing; see
-//    MapStepProfile below, kept as the equivalence reference and ablation
-//    baseline).
+//    std::map version this replaces spent its time pointer-chasing; it
+//    lives on as MapStepProfile in tests/support, the equivalence
+//    reference and perf_profile's ablation baseline).
+//
+//    A profile keeps its machine's whole history, so an add's splice moves
+//    every breakpoint after the job: ~1,900 on average on a 150k-job
+//    trace's components.  FirstFit therefore runs on a per-instance count
+//    grid instead whenever the instance's hull is narrow enough
+//    (algo/first_fit.hpp); the flat profile stays FirstFit's kernel for
+//    wide-time instances, and best_cut's.
 //
 //    The storage type T is a template parameter so the first-fit hot path
 //    can halve its cache footprint: when every job endpoint of an instance
@@ -35,23 +42,23 @@
 //    first profile lookup.  In FirstFit order the first machine whose hull
 //    misses the candidate accepts it outright, so the hull scan both
 //    bounds the profile work and resolves the common "machine busy in
-//    another era" case in O(machines/8) vector compares.
+//    another era" case in O(machines/8) vector compares.  FirstFit's count
+//    grid runs the same scan over int32 offsets into its hull.
 //
 // add() returns the busy-time increase (the newly covered length), so
 // callers accumulate exact union lengths for free — best_cut's phase costs
 // and the bench checksums ride on that.
 //
-// Both profiles implement identical semantics; tests/profile_test.cpp holds
-// FlatProfile == MapStepProfile == a brute-force reference over every
-// instance family, and the first-fit equivalence suite pins the production
-// path to solve_first_fit_reference bit for bit.
+// tests/profile_test.cpp holds FlatProfile == MapStepProfile == a
+// brute-force reference over random operation streams, and the first-fit
+// equivalence suites pin both FirstFit kernels to the quadratic reference
+// bit for bit on every instance family.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <vector>
 
 #include "core/time_types.hpp"
@@ -270,37 +277,6 @@ class BasicFlatProfile {
 /// its instance narrow (see solve_first_fit's int32 fast lane).
 using FlatProfile = BasicFlatProfile<Time>;
 using FlatProfile32 = BasicFlatProfile<std::int32_t>;
-
-/// The node-based reference: the same step function in a std::map, the
-/// pre-flat production implementation.  Kept (not deprecated dead code —
-/// actively compiled into tests and the perf_profile ablation) so the flat
-/// layout's equivalence and speedup stay measurable forever.
-class MapStepProfile {
- public:
-  bool empty() const noexcept { return steps_.empty(); }
-  std::size_t segment_count() const noexcept { return steps_.size(); }
-  Time busy_time() const noexcept { return busy_; }
-
-  int peak_in(const Interval& window) const noexcept;
-
-  bool fits(const Interval& candidate, int g) const noexcept {
-    if (steps_.empty() || candidate.completion <= steps_.begin()->first ||
-        candidate.start >= steps_.rbegin()->first || candidate.empty())
-      return true;
-    return peak_in(candidate) < g;
-  }
-
-  Time add(const Interval& iv);
-
-  void clear() noexcept {
-    steps_.clear();
-    busy_ = 0;
-  }
-
- private:
-  std::map<Time, int> steps_;
-  Time busy_ = 0;
-};
 
 /// Per-pool SoA busy-window hulls: start_[m] / end_[m] bound machine m's
 /// assigned work.  first_clear() is the branchless prefilter of the per-job

@@ -1,10 +1,10 @@
 // Property tests for the flat SoA step-function profiles (algo/profile.hpp):
 // FlatProfile, MapStepProfile, and a brute-force interval-list reference
 // must agree on every fits/add/busy_time answer over randomized operation
-// sequences and every instance family; the production first-fit, the map
-// ablation, and the quadratic reference must produce identical assignments;
-// and the online MachinePool (now on SoA hot scalars) must stay bit-identical
-// across thread counts under cancel/truncate streams.
+// sequences; both first-fit kernels, the map ablation, and the quadratic
+// reference must produce identical assignments on every instance family;
+// and the online MachinePool (now on SoA hot scalars) must stay
+// bit-identical across thread counts under cancel/truncate streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,8 @@
 #include "core/validate.hpp"
 #include "intervalgraph/sweepline.hpp"
 #include "online/stream_driver.hpp"
+#include "support/first_fit_checks.hpp"
+#include "support/first_fit_oracles.hpp"
 #include "util/prng.hpp"
 #include "workload/cancellable.hpp"
 #include "workload/generators.hpp"
@@ -106,16 +108,13 @@ TEST(FlatProfile, PeakInMatchesSweepOnDenseOverlaps) {
 
 TEST(FlatProfile, FirstFitIdentityAcrossAllSixFamilies) {
   const auto check = [](const Instance& inst) {
-    const Schedule flat = solve_first_fit(inst);
-    const Schedule map = solve_first_fit_map(inst);
-    const Schedule reference = solve_first_fit_reference(inst);
-    ASSERT_TRUE(is_valid(inst, flat));
-    EXPECT_EQ(flat.assignment(), reference.assignment());
-    EXPECT_EQ(map.assignment(), reference.assignment());
+    expect_kernels_match_reference(inst);
+    EXPECT_EQ(solve_first_fit_map(inst).assignment(),
+              solve_first_fit_reference(inst).assignment());
   };
   GenParams p;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    for (const int g : {1, 2, 5}) {
+    for (const int g : {1, 2, 5, 255}) {
       p.n = 50;
       p.g = g;
       p.seed = seed * 53;
