@@ -2,9 +2,12 @@
 // every remote connection's bytes flow through.  Build with
 // -DBUSYTIME_BUILD_FUZZERS=ON (clang only); see fuzz/README.md.
 //
-// The harness replays the input through feed() in strides chosen by the
-// first byte, so one corpus entry exercises many reassembly paths.  The
-// decoder's contract under arbitrary bytes:
+// The first byte of an input picks the slice length; the rest is the byte
+// stream, fed through feed() in slices of that length with a next() poll
+// after each, so one corpus entry exercises many reassembly paths.  Short
+// slices (1-7 bytes) split headers anywhere; long ones (4-64 KiB) put
+// several frames in one slice and complete a payload that spans slices in
+// the middle of one.  The decoder's contract under arbitrary bytes:
 //   - next() never throws and never returns a payload above the cap,
 //   - poisoning is sticky (every later next() reports kError).
 
@@ -17,11 +20,23 @@
 using busytime::net::Frame;
 using busytime::net::FrameDecoder;
 
+namespace {
+
+/// Selector values 0-6 give 1-7 bytes, 7-11 give 4, 8, 16, 32 and 64 KiB.
+std::size_t slice_length(std::uint8_t selector) {
+  const unsigned pick = selector % 12u;
+  return pick < 7 ? pick + 1 : std::size_t{4096} << (pick - 7);
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
+  if (size == 0) return 0;
+  const std::size_t stride = slice_length(data[0]);
+  ++data;
+  --size;
   FrameDecoder decoder;
-  const std::size_t stride = size ? static_cast<std::size_t>(data[0] % 7) + 1
-                                  : 1;
   Frame frame;
   bool poisoned = false;
   for (std::size_t off = 0; off < size;) {

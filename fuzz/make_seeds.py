@@ -8,7 +8,8 @@ integers, u32-length-prefixed strings and vectors) and src/net/protocol.hpp
 (frame = magic u32 + type u8 + length u32 + payload).
 
 Layout:
-  corpus/frame_decoder/   well-formed frames (fuzz_frame_decoder seeds)
+  corpus/frame_decoder/   selector byte (the slice length) + well-formed
+                          frames (fuzz_frame_decoder seeds)
   corpus/wire_payloads/   selector byte + payload (fuzz_wire_payloads seeds)
   corpus/text_readers/    selector byte + document (fuzz_text_readers seeds)
   corpus/regressions/     inputs that once crashed / misbehaved; replayed by
@@ -95,13 +96,18 @@ def main():
     inst = instance(2, [job(0, 10), job(5, 12), job(8, 20, weight=3, demand=2)])
     trace = event_trace(inst, [cancel(1, 7), cancel(2, 9, preempt=True)])
 
-    # --- fuzz_frame_decoder seeds: well-formed frames ---------------------
-    write("frame_decoder/ping.bin", frame(1))
-    write("frame_decoder/load_instance.bin", frame(2, inst))
-    write("frame_decoder/load_trace.bin", frame(3, trace))
+    # --- fuzz_frame_decoder seeds: selector byte + well-formed frames -----
+    # Selectors 0-6 feed 1-7 bytes at a time, 7-11 feed 4-64 KiB.
+    big = instance(8, [job(i, i + 1 + i % 5) for i in range(1000)])
+    write("frame_decoder/ping.bin", u8(0) + frame(1))
+    write("frame_decoder/load_instance.bin", u8(2) + frame(2, inst))
+    write("frame_decoder/load_trace.bin", u8(6) + frame(3, trace))
     write("frame_decoder/error.bin",
-          frame(63, u16(5) + wstr("payload failed to decode")))
-    write("frame_decoder/two_frames.bin", frame(1) + frame(2, inst))
+          u8(1) + frame(63, u16(5) + wstr("payload failed to decode")))
+    write("frame_decoder/two_frames.bin", u8(7) + frame(1) + frame(2, inst))
+    # A 32 KB frame that spans 4 KiB slices, then a ping.
+    write("frame_decoder/large_then_ping.bin",
+          u8(7) + frame(2, big) + frame(1))
 
     # --- fuzz_wire_payloads seeds: selector byte + payload ----------------
     write("wire_payloads/interval.bin", u8(0) + interval(0, 10))
@@ -162,6 +168,15 @@ def main():
           solver_spec("auto", deadline_ms=float("nan")))
     write("regressions/threads_out_of_range_spec.bin",
           solver_spec("auto", threads=257))
+    # Frame-decoder seams that a payload spanning reads crosses: a frame
+    # whose first read ends exactly at the header/payload boundary, and
+    # two frames arriving in one read.
+    write("regressions/split_at_payload_boundary.bin", frame(2, inst))
+    write("regressions/two_frames_one_slice.bin", frame(2, inst) + frame(1))
+    # 1,000 good jobs but the last of zero length: the block Job decoder
+    # must check every record, the last included.
+    write("regressions/last_job_zero_length.bin",
+          instance(8, [job(i, i + 3) for i in range(999)] + [job(5, 5)]))
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
   {
     const obs::ScopedSpan merge_span(spans, "merge", dispatch_span.id(),
                                      static_cast<std::int64_t>(inst.size()));
-    result.schedule = stitch_component_schedules(inst, view.components(), parts);
+    result.schedule = stitch_component_schedules(view, parts);
   }
   result.names = std::move(names);
   result.component_jobs.reserve(count);

@@ -31,7 +31,11 @@ bool is_proper(const Instance& inst);
 /// True iff all jobs share a start time, or all share a completion time.
 bool is_one_sided(const Instance& inst);
 
-/// Aggregated classification, computed in one pass for dispatch/reporting.
+/// Aggregated classification for dispatch/reporting: is_clique, then
+/// is_proper (which builds the memoized start order), then is_one_sided for
+/// a clique — three passes plus the order.  InstanceView reads the same
+/// three answers off the one loop that copies a component out in start
+/// order; classify() is the oracle its tests compare against.
 struct InstanceClass {
   bool clique = false;
   bool proper = false;

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/check.hpp"
+
 namespace busytime {
 
 Instance::Instance(std::vector<Job> jobs, int g) : jobs_(std::move(jobs)), g_(g) {
@@ -80,6 +82,24 @@ std::vector<JobId> radix_ids_by_length_desc(const std::vector<Job>& jobs,
   return ids;
 }
 
+/// Orders `count` ids of one short run of equal starts, given in ascending
+/// id order, by (completion, id): an insertion sort, stable, so equal
+/// completions keep id order.  Runs in a trace hold a few jobs, and this
+/// spares each one a std::sort call.
+void insertion_sort_by_completion(const std::vector<Job>& jobs, JobId* ids,
+                                  std::size_t count) {
+  const auto completion = [&](JobId id) {
+    return jobs[static_cast<std::size_t>(id)].completion();
+  };
+  for (std::size_t k = 1; k < count; ++k) {
+    const JobId id = ids[k];
+    const Time c = completion(id);
+    std::size_t slot = k;
+    for (; slot > 0 && completion(ids[slot - 1]) > c; --slot) ids[slot] = ids[slot - 1];
+    ids[slot] = id;
+  }
+}
+
 }  // namespace
 
 const std::vector<JobId>& Instance::ids_by_start() const {
@@ -95,21 +115,24 @@ const std::vector<JobId>& Instance::ids_by_start() const {
     const std::size_t n = jobs_.size();
     std::vector<JobId> ids(n);
     std::iota(ids.begin(), ids.end(), 0);
-    // Traces, component sub-instances and epoch batches arrive in start
-    // order: one scan proves it, and then only each run of equal starts
-    // still needs ordering, by (completion, id).
-    bool start_ordered = true;
-    for (std::size_t i = 1; start_ordered && i < n; ++i)
-      start_ordered = jobs_[i - 1].start() <= jobs_[i].start();
-    if (start_ordered) {
-      for (std::size_t lo = 0; lo < n;) {
-        std::size_t hi = lo + 1;
-        while (hi < n && jobs_[hi].start() == jobs_[lo].start()) ++hi;
-        if (hi - lo > 1) std::sort(ids.begin() + lo, ids.begin() + hi, before);
-        lo = hi;
+    // Traces and epoch batches arrive in start order.  One scan proves it
+    // and orders each run of equal starts by (completion, id) as the run
+    // closes; the first start that goes backwards abandons the scan for a
+    // comparison sort of everything.
+    constexpr std::size_t kInsertionSortMax = 16;
+    std::size_t lo = 0;  // first job of the current run of equal starts
+    for (std::size_t i = 1; i <= n; ++i) {
+      if (i < n && jobs_[i].start() == jobs_[lo].start()) continue;
+      if (i < n && jobs_[i].start() < jobs_[lo].start()) {
+        std::sort(ids.begin(), ids.end(), before);
+        break;
       }
-    } else {
-      std::sort(ids.begin(), ids.end(), before);
+      if (i - lo > kInsertionSortMax) {
+        std::sort(ids.begin() + lo, ids.begin() + i, before);
+      } else {
+        insertion_sort_by_completion(jobs_, ids.data() + lo, i - lo);
+      }
+      lo = i;
     }
     cache.by_start = std::move(ids);
   });
@@ -143,6 +166,22 @@ const std::vector<JobId>& Instance::ids_by_length_desc() const {
     cache.by_length = std::move(ids);
   });
   return cache.by_length;
+}
+
+Instance Instance::in_start_order(std::vector<Job> jobs, int g) {
+  Instance inst(std::move(jobs), g);
+  const std::vector<Job>& in = inst.jobs_;
+  for (std::size_t k = 1; k < in.size(); ++k)
+    BUSYTIME_CHECK(in[k - 1].start() < in[k].start() ||
+                       (in[k - 1].start() == in[k].start() &&
+                        in[k - 1].completion() <= in[k].completion()),
+                   "a start-ordered sub-instance's jobs are out of order");
+  OrderCache& cache = *inst.cache_;
+  std::call_once(cache.by_start_once, [&] {
+    cache.by_start.resize(in.size());
+    std::iota(cache.by_start.begin(), cache.by_start.end(), 0);
+  });
+  return inst;
 }
 
 Instance Instance::restricted_to(const std::vector<JobId>& ids) const {

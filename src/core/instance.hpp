@@ -1,4 +1,7 @@
-// Problem instance: a set of jobs plus the parallelism parameter g.
+// Problem instance: a set of jobs plus the parallelism parameter g, with
+// the job orders every solver reads (start order, FirstFit's length
+// order) memoized.  A component sub-instance built by InstanceView is born
+// with its start order recorded, so no solver scans it again.
 #pragma once
 
 #include <cstddef>
@@ -55,10 +58,12 @@ class Instance {
 
   /// Job ids sorted by non-decreasing start time (ties: by completion,
   /// then id).  For proper instances this is exactly the paper's order
-  /// J1 <= J2 <= ...  Jobs already in start order (one O(n) scan) only
-  /// have their runs of equal starts sorted; any other input takes a
-  /// comparison sort.  Memoized; thread-safe.  The reference stays valid
-  /// for the lifetime of this instance and of any copy sharing its cache.
+  /// J1 <= J2 <= ...  One O(n) scan checks that the jobs are in start
+  /// order and sorts each run of equal starts as it closes (an insertion
+  /// sort for a short run); the first start that goes backwards falls
+  /// back to a comparison sort.  Memoized; thread-safe.  The reference
+  /// stays valid for the lifetime of this instance and of any copy
+  /// sharing its cache.
   const std::vector<JobId>& ids_by_start() const;
 
   /// Job ids sorted by non-increasing length, ties by id (FirstFit order).
@@ -68,13 +73,22 @@ class Instance {
   const std::vector<JobId>& ids_by_length_desc() const;
 
   /// Sub-instance restricted to `ids` (job ids renumbered 0..k-1 in the
-  /// given order); used by per-component and per-bucket decompositions.
+  /// given order); used by solvers that work on a subset of the jobs, and
+  /// the oracle the tests hold InstanceView's component sub-instances to.
   Instance restricted_to(const std::vector<JobId>& ids) const;
 
   /// Human-readable one-line summary for logs and error messages.
   std::string summary() const;
 
  private:
+  friend class InstanceView;
+
+  /// An instance whose jobs are already in (start, completion) order, ties
+  /// in the order they should keep: its ids_by_start() is the identity and
+  /// is recorded so, without the scan.  InstanceView builds its component
+  /// sub-instances this way; audit builds check the order.
+  static Instance in_start_order(std::vector<Job> jobs, int g);
+
   /// Lazily-built sorted-id orders, tied to the job-vector snapshot.
   /// std::call_once makes the build race-free when solver threads share one
   /// instance read-only.

@@ -4,9 +4,18 @@
 // start-sorted id order (14 call sites across the solvers), the connected
 // components, each component's sub-instance, and each component's
 // core/classify result (which every applicability predicate used to
-// re-derive).  An InstanceView computes all of them exactly once — the
-// per-component work optionally in parallel — and exposes them as
-// read-only state that solver threads share without synchronization.
+// re-derive).  An InstanceView computes all of them exactly once and
+// exposes them as read-only state that solver threads share without
+// synchronization.
+//
+// The build touches each job twice after the instance's start order: one
+// sweep of that order cuts the components as runs of it (offsets, no
+// per-component id vectors), and one copy loop per component, in that
+// order, builds the sub-instance, computes its classification on the way,
+// and records its start order as the identity, which it is: the jobs are
+// copied in (start, completion, id) order and renumbered in that order.
+// Instance::restricted_to and core/classify stay as the oracles the tests
+// compare each component against.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +31,23 @@ namespace obs {
 class TraceContext;
 }
 
+/// A run of job ids inside a vector the range does not own.
+class JobIdRange {
+ public:
+  JobIdRange(const JobId* first, const JobId* last) : first_(first), last_(last) {}
+  const JobId* begin() const noexcept { return first_; }
+  const JobId* end() const noexcept { return last_; }
+  std::size_t size() const noexcept { return static_cast<std::size_t>(last_ - first_); }
+  JobId operator[](std::size_t k) const noexcept { return first_[k]; }
+
+ private:
+  const JobId* first_;
+  const JobId* last_;
+};
+
 class InstanceView {
  public:
-  /// Builds the view: components via one sweep over the memoized sorted
+  /// Builds the view: components via one sweep over the memoized start
   /// order, then sub-instance + classification per component on up to
   /// `threads` workers (0 = process default, 1 = sequential).
   ///
@@ -40,16 +63,14 @@ class InstanceView {
   /// Job ids sorted by non-decreasing start (the instance's memoized order).
   const std::vector<JobId>& order() const noexcept { return *order_; }
 
-  std::size_t component_count() const noexcept { return components_.size(); }
-  const std::vector<std::vector<JobId>>& components() const noexcept {
-    return components_;
-  }
+  std::size_t component_count() const noexcept { return subs_.size(); }
 
-  /// Original job ids of component i, in start order.
-  const std::vector<JobId>& component_ids(std::size_t i) const {
-    return components_[i];
+  /// Original job ids of component i, in start order: a run of order().
+  JobIdRange component_ids(std::size_t i) const {
+    return {order_->data() + bounds_[i], order_->data() + bounds_[i + 1]};
   }
-  /// Component i as a standalone instance (jobs renumbered 0..k-1).
+  /// Component i as a standalone instance (jobs renumbered 0..k-1 in start
+  /// order), equal to instance().restricted_to(component_ids(i)).
   const Instance& component_instance(std::size_t i) const { return subs_[i]; }
   /// core/classify of component i, computed once at view construction.
   const InstanceClass& component_class(std::size_t i) const {
@@ -59,7 +80,7 @@ class InstanceView {
  private:
   const Instance* inst_;
   const std::vector<JobId>* order_;
-  std::vector<std::vector<JobId>> components_;
+  std::vector<std::size_t> bounds_;  ///< component i is order()[bounds_[i], bounds_[i + 1])
   std::vector<Instance> subs_;
   std::vector<InstanceClass> classes_;
 };

@@ -8,15 +8,11 @@ namespace busytime::net {
 // Field order in every pair below is the struct's declaration order; the
 // layout is frozen as part of busytime-wire-v1 (docs/FORMATS.md).
 
-ibinstream& operator<<(ibinstream& m, const Interval& iv) {
-  return m << iv.start << iv.completion;
-}
+namespace {
 
-obinstream& operator>>(obinstream& m, Interval& iv) {
-  // Read into locals: Interval's constructor asserts s <= c, but a hostile
-  // payload must surface as WireError, not an assert, so assign members.
-  Time start = 0, completion = 0;
-  m >> start >> completion;
+/// The interval checks, in reading order.  Interval's constructor asserts
+/// s <= c, but a hostile payload must surface as WireError, not an assert.
+void check_interval(Time start, Time completion) {
   if (completion < start)
     throw WireError("interval completion precedes start");
   // length() computes completion - start in signed arithmetic everywhere
@@ -25,13 +21,42 @@ obinstream& operator>>(obinstream& m, Interval& iv) {
   if (static_cast<std::uint64_t>(completion) - static_cast<std::uint64_t>(start) >
       static_cast<std::uint64_t>(std::numeric_limits<Time>::max()))
     throw WireError("interval length overflows the time type");
+}
+
+/// The checks a Job adds to its interval's, run after the whole record is
+/// read.
+void check_length_and_demand(const Job& job) {
+  if (job.length() <= 0) throw WireError("job has non-positive length");
+  if (job.demand < 1) throw WireError("job demand must be >= 1");
+}
+
+/// The Job whose 32-byte wire record starts at `record`.
+Job load_job(const char* record) {
+  Job job;
+  job.interval.start = static_cast<Time>(load_le<std::uint64_t>(record));
+  job.interval.completion = static_cast<Time>(load_le<std::uint64_t>(record + 8));
+  job.weight = static_cast<std::int64_t>(load_le<std::uint64_t>(record + 16));
+  job.demand = static_cast<std::int64_t>(load_le<std::uint64_t>(record + 24));
+  return job;
+}
+
+}  // namespace
+
+ibinstream& operator<<(ibinstream& m, const Interval& iv) {
+  return m << iv.start << iv.completion;
+}
+
+obinstream& operator>>(obinstream& m, Interval& iv) {
+  Time start = 0, completion = 0;
+  m >> start >> completion;
+  check_interval(start, completion);
   iv.start = start;
   iv.completion = completion;
   return m;
 }
 
 ibinstream& operator<<(ibinstream& m, const Job& job) {
-  // The four 8-byte fields in one append: the instance codec's hot loop.
+  // The four 8-byte fields in one append.
   char record[WireMinBytes<Job>::value];
   store_le(record, static_cast<std::uint64_t>(job.interval.start));
   store_le(record + 8, static_cast<std::uint64_t>(job.interval.completion));
@@ -43,8 +68,35 @@ ibinstream& operator<<(ibinstream& m, const Job& job) {
 
 obinstream& operator>>(obinstream& m, Job& job) {
   m >> job.interval >> job.weight >> job.demand;
-  if (job.length() <= 0) throw WireError("job has non-positive length");
-  if (job.demand < 1) throw WireError("job demand must be >= 1");
+  check_length_and_demand(job);
+  return m;
+}
+
+ibinstream& operator<<(ibinstream& m, const std::vector<Job>& jobs) {
+  if (jobs.size() > UINT32_MAX)
+    throw WireError("vector exceeds the u32 wire length");
+  m.reserve_more(4 + jobs.size() * sizeof(Job));
+  m << static_cast<std::uint32_t>(jobs.size());
+  if constexpr (kLittleEndianHost) {
+    if (!jobs.empty()) m.raw(jobs.data(), jobs.size() * sizeof(Job));
+  } else {
+    for (const Job& job : jobs) m << job;
+  }
+  return m;
+}
+
+obinstream& operator>>(obinstream& m, std::vector<Job>& jobs) {
+  const auto n = m.read<std::uint32_t>();
+  m.require_count(n, WireMinBytes<Job>::value, sizeof(Job));
+  const char* record = m.consume(std::size_t{n} * sizeof(Job));
+  jobs.clear();
+  jobs.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i, record += sizeof(Job)) {
+    const Job job = load_job(record);
+    check_interval(job.interval.start, job.interval.completion);
+    check_length_and_demand(job);
+    jobs.push_back(job);
+  }
   return m;
 }
 

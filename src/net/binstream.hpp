@@ -29,6 +29,7 @@
 // out-of-memory.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -190,9 +191,15 @@ class obinstream {
   }
 
   void raw(void* out, std::size_t n) {
+    std::memcpy(out, consume(n), n);
+  }
+
+  /// Consumes `n` bytes and returns where they start in the buffer.
+  const char* consume(std::size_t n) {
     require(n);
-    std::memcpy(out, data_ + pos_, n);
+    const char* bytes = data_ + pos_;
     pos_ += n;
+    return bytes;
   }
 
   /// Consumes one little-endian unsigned word.
@@ -290,6 +297,18 @@ struct WireMinBytes<Job> {
   static constexpr std::size_t value = 32;  // interval + weight + demand
 };
 
+// A Job in memory is its wire record on a little-endian host: the four
+// 8-byte fields in wire order, no padding.  The vector<Job> codec moves
+// whole arrays on that assumption.
+static_assert(std::is_trivially_copyable<Job>::value &&
+                  std::is_standard_layout<Job>::value,
+              "Job must be copyable as bytes");
+static_assert(sizeof(Job) == WireMinBytes<Job>::value &&
+                  offsetof(Job, interval) == 0 && offsetof(Interval, start) == 0 &&
+                  offsetof(Interval, completion) == 8 &&
+                  offsetof(Job, weight) == 16 && offsetof(Job, demand) == 24,
+              "Job's memory layout must be its 32-byte wire record");
+
 template <typename T>
 ibinstream& operator<<(ibinstream& m, const std::vector<T>& v) {
   if (v.size() > UINT32_MAX)
@@ -357,6 +376,14 @@ obinstream& operator>>(obinstream& m, Interval& iv);
 
 ibinstream& operator<<(ibinstream& m, const Job& job);
 obinstream& operator>>(obinstream& m, Job& job);
+
+/// The instance codec's hot path, in the generic vector layout (u32 count,
+/// then 32-byte records).  The writer copies the array as one block on a
+/// little-endian host, record by record otherwise; the reader reads,
+/// checks and appends each record in one pass, with Job's checks and
+/// messages, so the first bad record is the one reported.
+ibinstream& operator<<(ibinstream& m, const std::vector<Job>& jobs);
+obinstream& operator>>(obinstream& m, std::vector<Job>& jobs);
 
 ibinstream& operator<<(ibinstream& m, const Instance& inst);
 obinstream& operator>>(obinstream& m, Instance& inst);

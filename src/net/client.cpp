@@ -113,9 +113,7 @@ Frame Client::read_frame() {
   }
 }
 
-Frame Client::request(MsgType type, const std::string& payload,
-                      MsgType expect) {
-  send_all(encode_frame(type, payload));
+Frame Client::read_response(MsgType type, MsgType expect) {
   Frame response = read_frame();
   if (response.type == MsgType::kError) throw decode_error(response.payload);
   if (response.type != expect)
@@ -124,18 +122,17 @@ Frame Client::request(MsgType type, const std::string& payload,
   return response;
 }
 
-void Client::ping() { request(MsgType::kPing, {}, MsgType::kPong); }
+void Client::ping() { request(MsgType::kPing, MsgType::kPong); }
 
 RemoteHandle Client::load(const Instance& inst) {
-  return load_payload(MsgType::kLoadInstance, to_payload(inst));
+  return handle_of(request(MsgType::kLoadInstance, MsgType::kHandle, inst));
 }
 
 RemoteHandle Client::load_trace(const EventTrace& trace) {
-  return load_payload(MsgType::kLoadTrace, to_payload(trace));
+  return handle_of(request(MsgType::kLoadTrace, MsgType::kHandle, trace));
 }
 
-RemoteHandle Client::load_payload(MsgType type, const std::string& payload) {
-  const Frame response = request(type, payload, MsgType::kHandle);
+RemoteHandle Client::handle_of(const Frame& response) {
   obinstream m(response.payload);
   RemoteHandle handle;
   m >> handle.id >> handle.jobs >> handle.g;
@@ -143,24 +140,22 @@ RemoteHandle Client::load_payload(MsgType type, const std::string& payload) {
 }
 
 SolveResult Client::solve(const RemoteHandle& handle, const SolverSpec& spec) {
-  ibinstream body;
-  body << handle.id << spec;
   const Frame response =
-      request(MsgType::kSolve, body.buffer(), MsgType::kResult);
+      request(MsgType::kSolve, MsgType::kResult, handle.id, spec);
   return from_payload<SolveResult>(response.payload);
 }
 
 std::vector<WireSolverInfo> Client::list_solvers() {
-  const Frame response = request(MsgType::kListSolvers, {}, MsgType::kSolverList);
+  const Frame response = request(MsgType::kListSolvers, MsgType::kSolverList);
   return from_payload<std::vector<WireSolverInfo>>(response.payload);
 }
 
 void Client::release(const RemoteHandle& handle) {
-  request(MsgType::kReleaseHandle, to_payload(handle.id), MsgType::kReleased);
+  request(MsgType::kReleaseHandle, MsgType::kReleased, handle.id);
 }
 
 void Client::shutdown_server() {
-  request(MsgType::kShutdown, {}, MsgType::kShuttingDown);
+  request(MsgType::kShutdown, MsgType::kShuttingDown);
 }
 
 }  // namespace busytime::net

@@ -58,11 +58,17 @@ class Client {
   std::uint16_t port() const noexcept { return port_; }
 
  private:
-  /// Sends one frame, blocks for the response, unwraps kError into a thrown
-  /// RemoteError, and checks the response type.
-  Frame request(MsgType type, const std::string& payload, MsgType expect);
-  /// Sends a load request and reads back the handle it created.
-  RemoteHandle load_payload(MsgType type, const std::string& payload);
+  /// Sends one `type` frame carrying `body...` (frame_of), blocks for the
+  /// response, unwraps kError into a thrown RemoteError, and checks that
+  /// the response is an `expect` frame.
+  template <typename... Body>
+  Frame request(MsgType type, MsgType expect, const Body&... body) {
+    send_all(frame_of(type, body...));
+    return read_response(type, expect);
+  }
+  Frame read_response(MsgType type, MsgType expect);
+  /// Reads back the handle a load response carries.
+  static RemoteHandle handle_of(const Frame& response);
   void send_all(const std::string& bytes);
   Frame read_frame();
 

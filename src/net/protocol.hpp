@@ -31,8 +31,10 @@
 // poll next() for complete frames.  It never throws on wire data.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "net/binstream.hpp"
 
@@ -139,13 +141,19 @@ struct Frame {
   std::string payload;
 };
 
-/// Encodes one frame (header + payload).  Throws WireError when the payload
-/// exceeds the cap — the sender-side mirror of the decoder's check.
-inline std::string encode_frame(MsgType type, const std::string& payload = {}) {
-  if (payload.size() > kMaxPayloadBytes)
-    throw WireError("frame payload of " + std::to_string(payload.size()) +
+/// The sender-side mirror of the decoder's cap: throws WireError when a
+/// payload of `bytes` may not travel.
+inline void check_frame_payload(std::size_t bytes) {
+  if (bytes > kMaxPayloadBytes)
+    throw WireError("frame payload of " + std::to_string(bytes) +
                     " bytes exceeds the " + std::to_string(kMaxPayloadBytes) +
                     "-byte cap");
+}
+
+/// Encodes one frame (header + payload) from ready payload bytes.  Throws
+/// WireError when the payload exceeds the cap.
+inline std::string encode_frame(MsgType type, const std::string& payload = {}) {
+  check_frame_payload(payload.size());
   ibinstream header;
   header << kMagic << static_cast<std::uint8_t>(type)
          << static_cast<std::uint32_t>(payload.size());
@@ -154,11 +162,28 @@ inline std::string encode_frame(MsgType type, const std::string& payload = {}) {
   return out;
 }
 
+/// Encodes one frame whose payload is `body...` written back to back, in
+/// one buffer: the header, then the body encoded in place behind it, then
+/// the length patched in.  Byte for byte encode_frame(type,
+/// to_payload(...)) for one value, without a payload string to copy.  A
+/// std::string in `body` is a wire string (u32 length + bytes), which is
+/// why this is not an encode_frame overload.  Throws WireError when the
+/// payload exceeds the cap.
+template <typename... Body>
+std::string frame_of(MsgType type, const Body&... body) {
+  ibinstream m;
+  m << kMagic << static_cast<std::uint8_t>(type) << std::uint32_t{0};
+  ((m << body), ...);
+  std::string frame = m.take();
+  const std::size_t payload = frame.size() - kFrameHeaderBytes;
+  check_frame_payload(payload);
+  store_le(&frame[5], static_cast<std::uint32_t>(payload));
+  return frame;
+}
+
 /// Encodes a typed error frame.
 inline std::string encode_error(WireErrorCode code, const std::string& message) {
-  ibinstream body;
-  body << static_cast<std::uint16_t>(code) << message;
-  return encode_frame(MsgType::kError, body.buffer());
+  return frame_of(MsgType::kError, static_cast<std::uint16_t>(code), message);
 }
 
 /// Decodes a kError payload into a RemoteError (without throwing it).
@@ -178,6 +203,13 @@ inline RemoteError decode_error(const std::string& payload) {
 /// until it stops returning kFrame.  After a desyncing error (bad magic,
 /// oversized length) the decoder is poisoned: every later next() returns
 /// kError and the connection should be closed after reporting it.
+///
+/// A frame that arrives whole in the buffered bytes is copied out of them.
+/// A payload that spans reads moves, once next() has read its header, to a
+/// buffer of its own reserved at exactly the declared (already capped)
+/// length; later feed()s append straight to it, and next() hands it over
+/// whole.  Feeding and polling in turn therefore copies a large payload
+/// once, whatever the read sizes.
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_payload = kMaxPayloadBytes)
@@ -189,11 +221,26 @@ class FrameDecoder {
     kError,     ///< stream is poisoned; see error_code()/error_message()
   };
 
-  void feed(const char* data, std::size_t n) { buf_.append(data, n); }
+  void feed(const char* data, std::size_t n) {
+    if (pending_) {
+      const std::size_t take = std::min(n, length_ - payload_.size());
+      payload_.append(data, take);
+      data += take;
+      n -= take;
+    }
+    buf_.append(data, n);
+  }
   void feed(const std::string& bytes) { feed(bytes.data(), bytes.size()); }
 
   Status next(Frame& out) {
     if (poisoned_) return Status::kError;
+    if (pending_) {
+      if (payload_.size() < length_) return Status::kNeedMore;
+      pending_ = false;
+      out.type = type_;
+      out.payload = std::exchange(payload_, std::string());
+      return Status::kFrame;
+    }
     compact();
     if (buf_.size() - pos_ < kFrameHeaderBytes) return Status::kNeedMore;
     obinstream header(buf_.data() + pos_, kFrameHeaderBytes);
@@ -201,24 +248,37 @@ class FrameDecoder {
     if (magic != kMagic)
       return poison(WireErrorCode::kBadMagic,
                     "frame does not start with the busytime-wire-v1 magic");
-    const auto type = header.read<std::uint8_t>();
+    const auto type = static_cast<MsgType>(header.read<std::uint8_t>());
     const auto length = header.read<std::uint32_t>();
     if (length > max_payload_)
       return poison(WireErrorCode::kOversizedFrame,
                     "declared payload of " + std::to_string(length) +
                         " bytes exceeds the " + std::to_string(max_payload_) +
                         "-byte cap");
-    if (buf_.size() - pos_ < kFrameHeaderBytes + length) return Status::kNeedMore;
-    out.type = static_cast<MsgType>(type);
-    out.payload.assign(buf_, pos_ + kFrameHeaderBytes, length);
-    pos_ += kFrameHeaderBytes + length;
+    const std::size_t body = pos_ + kFrameHeaderBytes;
+    if (buf_.size() - body < length) {
+      // Every buffered byte belongs to this payload; the rest follows.
+      pending_ = true;
+      type_ = type;
+      length_ = length;
+      payload_.reserve(length);
+      payload_.assign(buf_, body, std::string::npos);
+      buf_.clear();
+      pos_ = 0;
+      return Status::kNeedMore;
+    }
+    out.type = type;
+    out.payload.assign(buf_, body, length);
+    pos_ = body + length;
     compact();
     return Status::kFrame;
   }
 
   /// True when bytes of an incomplete frame are buffered — at connection
   /// close this is the mid-frame-disconnect signal.
-  bool mid_frame() const noexcept { return !poisoned_ && buf_.size() > pos_; }
+  bool mid_frame() const noexcept {
+    return !poisoned_ && (pending_ || buf_.size() > pos_);
+  }
 
   bool poisoned() const noexcept { return poisoned_; }
   WireErrorCode error_code() const noexcept { return code_; }
@@ -243,8 +303,12 @@ class FrameDecoder {
     }
   }
 
-  std::string buf_;
+  std::string buf_;  ///< bytes not yet parsed into a frame
   std::size_t pos_ = 0;
+  bool pending_ = false;  ///< a header is read, its payload is still arriving
+  MsgType type_ = MsgType::kPing;
+  std::size_t length_ = 0;  ///< the pending payload's declared length
+  std::string payload_;     ///< the pending payload, reserved at length_
   std::size_t max_payload_;
   bool poisoned_ = false;
   WireErrorCode code_ = WireErrorCode::kBadPayload;

@@ -249,11 +249,14 @@ void Server::handle_readable(Connection& conn) {
   const std::uint64_t conn_id = conn.id;
   char buf[64 * 1024];
   bool eof = false;
-  while (true) {
+  while (!conn.read_closed) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       bytes_in_.add(static_cast<std::uint64_t>(n));
       conn.decoder.feed(buf, static_cast<std::size_t>(n));
+      // Decode after every read: once a large payload's header is read,
+      // the decoder appends the reads that follow straight to its buffer.
+      if (!dispatch_frames(conn)) return;  // closed by dispatch
       continue;
     }
     if (n == 0) {
@@ -263,30 +266,8 @@ void Server::handle_readable(Connection& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     // Hard error (ECONNRESET, ...): the peer is gone, nothing to flush.
-    close_connection(conn.id);
+    close_connection(conn_id);
     return;
-  }
-
-  Frame frame;
-  while (true) {
-    const FrameDecoder::Status status = conn.decoder.next(frame);
-    if (status == FrameDecoder::Status::kNeedMore) break;
-    if (status == FrameDecoder::Status::kError) {
-      // Desynced stream (bad magic / oversized length): report once, then
-      // close after the error frame flushes.  Nothing after this point in
-      // the byte stream can be trusted, so reading stops here.
-      decode_errors_.inc();
-      const std::uint64_t seq = reserve_reply(conn);
-      fill_reply(conn, seq,
-                 encode_error(conn.decoder.error_code(),
-                              conn.decoder.error_message()));
-      conn.closing = true;
-      conn.read_closed = true;
-      break;
-    }
-    frames_in_.inc();
-    dispatch_frame(conn, std::move(frame));
-    if (conns_.find(conn_id) == conns_.end()) return;  // closed by dispatch
   }
 
   if (eof) {
@@ -304,6 +285,31 @@ void Server::handle_readable(Connection& conn) {
     conn.closing = true;
   }
   flush_replies(conn);
+}
+
+bool Server::dispatch_frames(Connection& conn) {
+  const std::uint64_t conn_id = conn.id;
+  Frame frame;
+  while (true) {
+    const FrameDecoder::Status status = conn.decoder.next(frame);
+    if (status == FrameDecoder::Status::kNeedMore) return true;
+    if (status == FrameDecoder::Status::kError) {
+      // Desynced stream (bad magic / oversized length): report once, then
+      // close after the error frame flushes.  Nothing after this point in
+      // the byte stream can be trusted, so reading stops here.
+      decode_errors_.inc();
+      const std::uint64_t seq = reserve_reply(conn);
+      fill_reply(conn, seq,
+                 encode_error(conn.decoder.error_code(),
+                              conn.decoder.error_message()));
+      conn.closing = true;
+      conn.read_closed = true;
+      return true;
+    }
+    frames_in_.inc();
+    dispatch_frame(conn, std::move(frame));
+    if (conns_.find(conn_id) == conns_.end()) return false;
+  }
 }
 
 void Server::handle_writable(Connection& conn) { flush_replies(conn); }
@@ -348,8 +354,7 @@ void Server::dispatch_frame(Connection& conn, Frame frame) {
         row.description = info->description;
         infos.push_back(std::move(row));
       }
-      fill_reply(conn, seq,
-                 encode_frame(MsgType::kSolverList, to_payload(infos)));
+      fill_reply(conn, seq, frame_of(MsgType::kSolverList, infos));
       return;
     }
 
@@ -394,9 +399,7 @@ void Server::dispatch_load(Connection& conn, std::uint64_t seq,
     const std::int32_t g = workload.g();
     const std::uint64_t id = conn.next_handle++;
     conn.handles.emplace(id, service_.load(std::move(workload)));
-    ibinstream body;
-    body << id << jobs << g;
-    fill_reply(conn, seq, encode_frame(MsgType::kHandle, body.buffer()));
+    fill_reply(conn, seq, frame_of(MsgType::kHandle, id, jobs, g));
   } catch (const std::exception& e) {
     decode_errors_.inc();
     reply_error(conn, seq, WireErrorCode::kBadPayload, e.what());
@@ -448,7 +451,7 @@ void Server::dispatch_solve(Connection& conn, const std::string& payload) {
           }
           bytes = encode_error(WireErrorCode::kSolveFailed, what);
         } else {
-          bytes = encode_frame(MsgType::kResult, to_payload(result));
+          bytes = frame_of(MsgType::kResult, result);
         }
         channel->push({conn_id, seq, std::move(bytes)});
       });
@@ -495,7 +498,12 @@ void Server::reply_error(Connection& conn, std::uint64_t seq,
 
 void Server::flush_replies(Connection& conn) {
   while (!conn.replies.empty() && conn.replies.front().ready) {
-    conn.out += conn.replies.front().bytes;
+    std::string& bytes = conn.replies.front().bytes;
+    if (conn.out.empty()) {
+      conn.out = std::move(bytes);  // a lone reply: no copy
+    } else {
+      conn.out += bytes;
+    }
     frames_out_.inc();
     conn.replies.pop_front();
     ++conn.replies_popped;

@@ -136,6 +136,9 @@ class Server {
   void accept_ready();
   void handle_readable(Connection& conn);
   void handle_writable(Connection& conn);
+  /// Dispatches every frame the decoder holds; false when a dispatch
+  /// closed the connection.
+  bool dispatch_frames(Connection& conn);
   void dispatch_frame(Connection& conn, Frame frame);
   /// Decodes a Workload (Instance or EventTrace) payload, loads it into the
   /// Service and answers with the new connection-scoped handle.

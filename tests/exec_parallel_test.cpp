@@ -346,6 +346,99 @@ TEST(InstanceCache, MemoizedOrdersMatchAComparatorSortOracle) {
   }
 }
 
+/// Component index of every job from a quadratic union-find over the
+/// overlap graph: the definition, with no sweep and no start order.
+std::vector<std::size_t> oracle_component_roots(const Instance& inst) {
+  std::vector<std::size_t> parent(inst.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&](std::size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (std::size_t a = 0; a < inst.size(); ++a)
+    for (std::size_t b = a + 1; b < inst.size(); ++b)
+      if (inst.jobs()[a].interval.overlaps(inst.jobs()[b].interval))
+        parent[find(a)] = find(b);
+  for (std::size_t x = 0; x < inst.size(); ++x) parent[x] = find(x);
+  return parent;
+}
+
+/// The view against its oracles: the cut against the union-find, each
+/// sub-instance against restricted_to, each class against classify, and
+/// each sub-instance's recorded start order against the comparator sort.
+void expect_view_matches_oracles(const Instance& inst, int threads,
+                                 const std::string& what) {
+  SCOPED_TRACE(what + " (n=" + std::to_string(inst.size()) +
+               ", g=" + std::to_string(inst.g()) + ")");
+  const InstanceView view(inst, threads);
+  const std::vector<std::size_t> roots = oracle_component_roots(inst);
+  std::vector<JobId> concatenated;
+  std::vector<std::size_t> root_of_component;
+  for (std::size_t i = 0; i < view.component_count(); ++i) {
+    const JobIdRange ids = view.component_ids(i);
+    ASSERT_GT(ids.size(), 0u);
+    const std::size_t root = roots[static_cast<std::size_t>(ids[0])];
+    for (const JobId id : ids) EXPECT_EQ(roots[static_cast<std::size_t>(id)], root);
+    root_of_component.push_back(root);
+    concatenated.insert(concatenated.end(), ids.begin(), ids.end());
+
+    const std::vector<JobId> id_vector(ids.begin(), ids.end());
+    const Instance oracle = inst.restricted_to(id_vector);
+    const Instance& sub = view.component_instance(i);
+    EXPECT_EQ(sub.jobs(), oracle.jobs()) << "component " << i;
+    EXPECT_EQ(sub.g(), inst.g());
+    const InstanceClass cls = classify(oracle);
+    EXPECT_EQ(view.component_class(i).clique, cls.clique) << "component " << i;
+    EXPECT_EQ(view.component_class(i).proper, cls.proper) << "component " << i;
+    EXPECT_EQ(view.component_class(i).one_sided, cls.one_sided) << "component " << i;
+    EXPECT_EQ(sub.ids_by_start(), oracle_ids_by_start(sub)) << "component " << i;
+  }
+  // One component per union-find class, and the runs tile the start order.
+  std::sort(root_of_component.begin(), root_of_component.end());
+  EXPECT_EQ(std::unique(root_of_component.begin(), root_of_component.end()),
+            root_of_component.end());
+  std::vector<std::size_t> classes = roots;
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  EXPECT_EQ(view.component_count(), classes.size());
+  EXPECT_EQ(concatenated, view.order());
+  EXPECT_EQ(view.order(), oracle_ids_by_start(inst));
+}
+
+TEST(InstanceCache, ViewMatchesItsOraclesOnEveryFamily) {
+  for (const int g : {1, 3, 8}) {
+    for (const int n : {1, 37, 500}) {
+      GenParams p;
+      p.n = n;
+      p.g = g;
+      p.seed = static_cast<std::uint64_t>(100 * g + n);
+      p.horizon = 8 * n;  // room for several components
+      expect_view_matches_oracles(gen_general(p), 1, "general");
+      expect_view_matches_oracles(gen_clique(p), 2, "clique");
+      expect_view_matches_oracles(gen_proper(p), 1, "proper");
+      expect_view_matches_oracles(gen_proper_clique(p), 4, "proper clique");
+      expect_view_matches_oracles(gen_one_sided(p), 1, "one-sided");
+      TraceParams tp;
+      tp.n = n;
+      tp.g = g;
+      tp.arrival_rate = 0.05;
+      tp.max_duration = 60;
+      tp.seed = p.seed;
+      expect_view_matches_oracles(gen_trace(tp), 4, "trace");
+      // Start-sorted with many tied starts: short jobs packed on few start
+      // times (many small components, runs of equal starts in every
+      // completion order), and long ones (few large components).
+      const std::size_t jobs = static_cast<std::size_t>(n);
+      expect_view_matches_oracles(
+          Instance(sorted_by_start(random_jobs(jobs, 0, n / 4 + 1, 3, p.seed)), g), 1,
+          "tied starts, short jobs");
+      expect_view_matches_oracles(
+          Instance(sorted_by_start(random_jobs(jobs, -50, n / 8 + 1, 40, p.seed + 1)), g),
+          4, "tied starts, long jobs");
+    }
+  }
+}
+
 // ---------------------------------------------------- offline determinism ---
 
 std::vector<Instance> determinism_family() {

@@ -56,7 +56,9 @@ std::vector<fs::path> regression_files() {
 /// must never happen is a crash, a sanitizer report, or a foreign
 /// exception type escaping a decoder.
 void replay_everywhere(const std::string& bytes) {
-  for (const std::size_t stride : {std::size_t{1}, std::size_t{7}, bytes.size()}) {
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{7},
+                                   busytime::net::kFrameHeaderBytes, std::size_t{4096},
+                                   bytes.size()}) {
     FrameDecoder decoder;
     Frame frame;
     for (std::size_t off = 0; off < bytes.size();) {
@@ -205,6 +207,42 @@ TEST(FuzzRegression, OutOfDomainSpecOptionsAreRejectedByName) {
   expect_rejected_by<busytime::SolverSpec>("threads_out_of_range_spec.bin", "'threads'");
 }
 
+TEST(FuzzRegression, FrameSplitAtThePayloadBoundaryReassembles) {
+  // The first read ends exactly where the header does: the payload then
+  // arrives into a buffer of its own and comes out whole.
+  const std::string bytes = slurp(regressions_dir() / "split_at_payload_boundary.bin");
+  ASSERT_GT(bytes.size(), busytime::net::kFrameHeaderBytes);
+  FrameDecoder decoder;
+  Frame frame;
+  decoder.feed(bytes.substr(0, busytime::net::kFrameHeaderBytes));
+  EXPECT_EQ(decoder.next(frame), FrameDecoder::Status::kNeedMore);
+  EXPECT_TRUE(decoder.mid_frame());
+  decoder.feed(bytes.substr(busytime::net::kFrameHeaderBytes));
+  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(frame.type, busytime::net::MsgType::kLoadInstance);
+  EXPECT_EQ(frame.payload, bytes.substr(busytime::net::kFrameHeaderBytes));
+  EXPECT_EQ(from_payload<busytime::Instance>(frame.payload).size(), 3u);
+  EXPECT_FALSE(decoder.mid_frame());
+}
+
+TEST(FuzzRegression, TwoFramesInOneSliceComeOutInOrder) {
+  const std::string bytes = slurp(regressions_dir() / "two_frames_one_slice.bin");
+  FrameDecoder decoder;
+  decoder.feed(bytes);
+  Frame frame;
+  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(frame.type, busytime::net::MsgType::kLoadInstance);
+  ASSERT_EQ(decoder.next(frame), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(frame.type, busytime::net::MsgType::kPing);
+  EXPECT_EQ(decoder.next(frame), FrameDecoder::Status::kNeedMore);
+  EXPECT_FALSE(decoder.mid_frame());
+}
+
+TEST(FuzzRegression, LastOfAThousandJobsWithZeroLengthIsRejected) {
+  expect_rejected_by<busytime::Instance>("last_job_zero_length.bin",
+                                         "job has non-positive length");
+}
+
 // ---- seed health: the committed good seeds must stay decodable, so the
 // ---- fuzzers start from live coverage, not stale bytes -------------------
 
@@ -213,8 +251,10 @@ TEST(FuzzRegression, FrameDecoderSeedsStillDecode) {
   std::size_t frames = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     SCOPED_TRACE(entry.path().filename().string());
+    const std::string bytes = slurp(entry.path());
+    ASSERT_FALSE(bytes.empty());
     FrameDecoder decoder;
-    decoder.feed(slurp(entry.path()));
+    decoder.feed(bytes.substr(1));  // past the harness's selector byte
     Frame frame;
     while (decoder.next(frame) == FrameDecoder::Status::kFrame) ++frames;
     EXPECT_FALSE(decoder.poisoned());

@@ -19,6 +19,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -29,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "service/service.hpp"
 #include "workload/generators.hpp"
+#include "workload/trace.hpp"
 
 namespace busytime {
 namespace {
@@ -202,6 +204,92 @@ TEST(NetServer, FrameDecoderRejectsOversizedDeclaredLength) {
   EXPECT_EQ(decoder.error_code(), net::WireErrorCode::kOversizedFrame);
 }
 
+/// Feeds the frames `big` then `next` to `decoder` in slices of `stride`
+/// bytes of `big`, the last slice of `big` carrying all of `next` with it,
+/// polling after every slice.  Returns the frames handed out.  Every poll
+/// before the last slice must leave the decoder mid-frame.
+std::vector<net::Frame> feed_with_next_in_last_slice(net::FrameDecoder& decoder,
+                                                     const std::string& big,
+                                                     const std::string& next,
+                                                     std::size_t stride) {
+  std::vector<net::Frame> frames;
+  net::Frame frame;
+  for (std::size_t off = 0; off < big.size(); off += stride) {
+    const bool last = off + stride >= big.size();
+    const std::string slice = last ? big.substr(off) + next : big.substr(off, stride);
+    decoder.feed(slice);
+    while (decoder.next(frame) == net::FrameDecoder::Status::kFrame)
+      frames.push_back(std::move(frame));
+    if (!last) {
+      EXPECT_TRUE(decoder.mid_frame()) << "offset " << off;
+    }
+  }
+  return frames;
+}
+
+TEST(NetServer, FrameDecoderHandsOverALargePayloadWholeAtEveryStride) {
+  // A payload of over 1 MiB in a pattern no shifted copy matches, then a
+  // ping whose header shares a slice with the payload's last byte.
+  std::string payload((std::size_t{1} << 20) + 4099, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<char>((i * 131) ^ (i >> 9));
+  const std::string big = net::encode_frame(net::MsgType::kLoadInstance, payload);
+  const std::string ping = net::encode_frame(net::MsgType::kPing);
+  for (const std::size_t stride :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096}, std::size_t{65536}, big.size()}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    net::FrameDecoder decoder;
+    const std::vector<net::Frame> frames =
+        feed_with_next_in_last_slice(decoder, big, ping, stride);
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0].type, net::MsgType::kLoadInstance);
+    EXPECT_TRUE(frames[0].payload == payload) << "payload differs";
+    EXPECT_EQ(frames[1].type, net::MsgType::kPing);
+    EXPECT_EQ(frames[1].payload, "");
+    EXPECT_FALSE(decoder.mid_frame());
+    EXPECT_FALSE(decoder.poisoned());
+  }
+}
+
+TEST(NetServer, FrameDecoderPoisonsOnTheNinthHeaderByte) {
+  net::ibinstream bad_magic;
+  bad_magic << std::uint32_t{0x12345678} << static_cast<std::uint8_t>(net::MsgType::kPing)
+            << std::uint32_t{0};
+  net::ibinstream over_cap;
+  over_cap << net::kMagic << static_cast<std::uint8_t>(net::MsgType::kLoadInstance)
+           << static_cast<std::uint32_t>(net::kMaxPayloadBytes + 1);
+  const std::string payload(70000, 'x');
+  const std::string big = net::encode_frame(net::MsgType::kLoadInstance, payload);
+  for (const auto& [header, code] :
+       {std::pair<std::string, net::WireErrorCode>{bad_magic.buffer(),
+                                                   net::WireErrorCode::kBadMagic},
+        {over_cap.buffer(), net::WireErrorCode::kOversizedFrame}}) {
+    ASSERT_EQ(header.size(), net::kFrameHeaderBytes);
+    // On a fresh decoder, and right behind a payload that spanned reads.
+    for (const bool after_large_frame : {false, true}) {
+      SCOPED_TRACE(std::string(after_large_frame ? "after" : "without") +
+                   " a large frame; " + net::to_string(code));
+      net::FrameDecoder decoder;
+      net::Frame frame;
+      if (after_large_frame) {
+        for (std::size_t off = 0; off < big.size(); off += 4096) {
+          decoder.feed(big.substr(off, 4096));
+          if (decoder.next(frame) == net::FrameDecoder::Status::kFrame) break;
+        }
+        ASSERT_EQ(frame.payload, payload);
+      }
+      for (std::size_t k = 0; k + 1 < header.size(); ++k) {
+        decoder.feed(&header[k], 1);
+        EXPECT_EQ(decoder.next(frame), net::FrameDecoder::Status::kNeedMore) << k;
+      }
+      decoder.feed(&header.back(), 1);
+      EXPECT_EQ(decoder.next(frame), net::FrameDecoder::Status::kError);
+      EXPECT_TRUE(decoder.poisoned());
+      EXPECT_EQ(decoder.error_code(), code);
+    }
+  }
+}
+
 // ----------------------------------------------------- live server, happy
 
 TEST(NetServer, PingLoadSolveMatchesInProcessBitExactly) {
@@ -231,6 +319,53 @@ TEST(NetServer, PingLoadSolveMatchesInProcessBitExactly) {
 
   EXPECT_EQ(client.list_solvers().size(), SolverRegistry::instance().size());
   client.release(remote);
+  EXPECT_EQ(fx.counter(obs::metric::kNetDecodeErrors), 0u);
+}
+
+/// Wire encoding with wall_ms zeroed: equal strings == bit-identical
+/// results in every field the protocol carries.
+std::string fingerprint(SolveResult result) {
+  result.wall_ms = 0.0;
+  return net::to_payload(result);
+}
+
+TEST(NetServer, PipelinedLargeLoadsMatchInProcessBitExactly) {
+  // Two 40k-job loads (1.3 MB frames, many reads each) written back to
+  // back before either reply is read, then both solves the same way.
+  ServerFixture fx;
+  TraceParams tp;
+  tp.n = 40000;
+  tp.g = 8;
+  tp.seed = 17;
+  const Instance trace = gen_trace(tp);
+  RawConn conn(fx.server.port());
+  const std::string load = net::frame_of(net::MsgType::kLoadInstance, trace);
+  conn.send_bytes(load + load);
+  std::vector<std::uint64_t> handles;
+  for (int k = 0; k < 2; ++k) {
+    const net::Frame reply = conn.read_frame();
+    ASSERT_EQ(reply.type, net::MsgType::kHandle);
+    net::obinstream m(reply.payload);
+    std::uint64_t id = 0, jobs = 0;
+    m >> id >> jobs;
+    EXPECT_EQ(jobs, trace.size());
+    handles.push_back(id);
+  }
+  EXPECT_NE(handles[0], handles[1]);
+
+  SolverSpec spec;
+  spec.name = "auto";
+  conn.send_bytes(net::frame_of(net::MsgType::kSolve, handles[0], spec) +
+                  net::frame_of(net::MsgType::kSolve, handles[1], spec));
+  Service local;
+  const std::string expected = fingerprint(local.solve(local.load(trace), spec));
+  for (int k = 0; k < 2; ++k) {
+    const net::Frame reply = conn.read_frame();
+    ASSERT_EQ(reply.type, net::MsgType::kResult);
+    const SolveResult remote = net::from_payload<SolveResult>(reply.payload);
+    EXPECT_TRUE(remote.valid);
+    EXPECT_EQ(fingerprint(remote), expected) << "load " << k;
+  }
   EXPECT_EQ(fx.counter(obs::metric::kNetDecodeErrors), 0u);
 }
 

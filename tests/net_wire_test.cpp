@@ -400,6 +400,38 @@ TEST(NetWire, FieldListLayoutsArePinned) {
             "00e03f010000000500000065706f636801");
 }
 
+TEST(NetWire, FrameBuilderEqualsEncodeFrameOfThePayload) {
+  std::vector<Job> jobs = {Job(0, 10), Job(5, 12), Job(8, 20, 3)};
+  jobs[2].demand = 2;
+  const Instance inst(jobs, 2);
+  const std::string load = net::frame_of(net::MsgType::kLoadInstance, inst);
+  EXPECT_EQ(load, net::encode_frame(net::MsgType::kLoadInstance, to_payload(inst)));
+  EXPECT_EQ(hex(load),
+            "315754420268000000020000000300000000000000000000000a000000000000"
+            "000100000000000000010000000000000005000000000000000c000000000000"
+            "0001000000000000000100000000000000080000000000000014000000000000"
+            "0003000000000000000200000000000000");
+  const SolveResult result = every_field_set();
+  EXPECT_EQ(net::frame_of(net::MsgType::kResult, result),
+            net::encode_frame(net::MsgType::kResult, to_payload(result)));
+  // Several body values travel back to back, as one payload.
+  ibinstream body;
+  body << std::uint64_t{7} << SolverSpec::parse("auto");
+  EXPECT_EQ(net::frame_of(net::MsgType::kSolve, std::uint64_t{7}, SolverSpec::parse("auto")),
+            net::encode_frame(net::MsgType::kSolve, body.buffer()));
+  EXPECT_EQ(net::frame_of(net::MsgType::kPing), net::encode_frame(net::MsgType::kPing));
+}
+
+TEST(NetWire, JobVectorBlockEqualsItsRecords) {
+  // The block copy writes what the per-record writer writes.
+  const Instance inst = family_instance("trace");
+  ibinstream records;
+  records << static_cast<std::uint32_t>(inst.size());
+  for (const Job& job : inst.jobs()) records << job;
+  EXPECT_EQ(to_payload(inst.jobs()), records.buffer());
+  EXPECT_EQ(from_payload<std::vector<Job>>(records.buffer()), inst.jobs());
+}
+
 TEST(NetWire, SolveResultMayOmitOnlyItsTrailingCachedByte) {
   const std::string payload = to_payload(every_field_set());
   // A peer from before the result cache stops before `cached`.
@@ -598,6 +630,67 @@ TEST(NetWire, InvariantViolatingPayloadsAreRejected) {
     spec.name = "auto:g=2";
     expect_wire_error<SolverSpec>(to_payload(spec), "option separator");
   }
+}
+
+
+TEST(NetWire, BlockJobDecoderReportsTheFirstBadRecord) {
+  // One bad record at the front, in the middle or last of 1,000 good ones
+  // fails with the message the single-Job reader gives for it; a record
+  // with two faults reports the one read first.
+  struct Bad {
+    Job job;
+    const char* message;
+  };
+  const auto job = [](Time start, Time completion, std::int64_t demand) {
+    Job j;
+    j.interval.start = start;
+    j.interval.completion = completion;
+    j.demand = demand;
+    return j;
+  };
+  const Bad cases[] = {
+      {job(10, 10, 1), "job has non-positive length"},
+      {job(10, 5, 1), "interval completion precedes start"},
+      {job(0, 10, 0), "job demand must be >= 1"},
+      {job(std::numeric_limits<Time>::min(), std::numeric_limits<Time>::max(), 1),
+       "interval length overflows the time type"},
+      {job(10, 5, 0), "interval completion precedes start"},
+      {job(10, 10, 0), "job has non-positive length"},
+  };
+  std::vector<Job> good;
+  for (int i = 0; i < 1000; ++i) good.emplace_back(i, i + 1 + i % 7);
+  for (const Bad& bad : cases) {
+    ibinstream single;
+    single << bad.job;
+    try {
+      from_payload<Job>(single.buffer());
+      ADD_FAILURE() << "single record decoded: " << bad.message;
+    } catch (const WireError& e) {
+      EXPECT_EQ(std::string(e.what()), bad.message);
+    }
+    for (const std::size_t at : {std::size_t{0}, std::size_t{500}, std::size_t{999}}) {
+      std::vector<Job> jobs = good;
+      jobs[at] = bad.job;
+      if (at < 999) jobs[999] = job(0, 10, 0);  // a later fault never wins
+      ibinstream m;
+      m << std::int32_t{3} << jobs;
+      try {
+        from_payload<Instance>(m.buffer());
+        ADD_FAILURE() << "decoded with a bad record at " << at;
+      } catch (const WireError& e) {
+        EXPECT_EQ(std::string(e.what()), bad.message) << "record " << at;
+      }
+    }
+  }
+  // A count one past the records, and one no payload can hold, fail on the
+  // count before the reserve.
+  ibinstream short_by_one;
+  short_by_one << std::int32_t{3} << std::uint32_t{1001};
+  for (const Job& j : good) short_by_one << j;
+  expect_wire_error<Instance>(short_by_one.buffer(), "forged element count 1001");
+  ibinstream huge;
+  huge << std::int32_t{3} << std::uint32_t{0xFFFFFFFFu} << good[0];
+  expect_wire_error<Instance>(huge.buffer(), "forged element count 4294967295");
 }
 
 }  // namespace
