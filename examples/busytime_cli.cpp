@@ -301,10 +301,9 @@ int cmd_list_solvers(const Flags& flags) {
 /// Enumerates the builtin metric catalog — the machine-readable source of
 /// truth that docs/OBSERVABILITY.md and scripts/check_docs.py diff against.
 int cmd_list_metrics(const Flags& flags) {
-  const std::vector<obs::MetricDef>& defs = obs::builtin_metric_defs();
   if (flags.get_bool("json")) {
     json::Value out = json::Value::array();
-    for (const obs::MetricDef& def : defs) {
+    for (const obs::MetricDef& def : obs::kMetricCatalog) {
       json::Value entry = json::Value::object();
       entry.set("name", def.name);
       entry.set("kind", obs::to_string(def.kind));
@@ -315,10 +314,10 @@ int cmd_list_metrics(const Flags& flags) {
     return 0;
   }
   Table table({"metric", "kind", "help"});
-  for (const obs::MetricDef& def : defs)
+  for (const obs::MetricDef& def : obs::kMetricCatalog)
     table.add_row({def.name, obs::to_string(def.kind), def.help});
   table.print(std::cout);
-  std::cout << defs.size() << " metrics registered\n";
+  std::cout << std::size(obs::kMetricCatalog) << " metrics registered\n";
   return 0;
 }
 

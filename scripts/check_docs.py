@@ -12,7 +12,7 @@
 4. Metric-catalog cross-check: the metric names documented in
    docs/OBSERVABILITY.md must match `busytime_cli --list-metrics --json`
    exactly (both directions), so the observability catalog cannot drift
-   from obs::builtin_metric_defs().
+   from obs::kMetricCatalog.
 5. Lint-rule cross-check: the rule table in docs/CORRECTNESS.md must match
    `lint_project.py --list-rules` exactly (both directions), so the
    documented lint contract cannot drift from the enforced one.

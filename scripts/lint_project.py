@@ -12,8 +12,8 @@ scripts/check_docs.py fails if the two drift):
   no-stdio-in-library         no std::cout / printf( / rand( / time( in
                               library code (src/; CLI, bench and examples
                               live outside src/ and may print)
-  metric-catalog-sorted       obs::builtin_metric_defs() entries stay sorted
-                              by metric name
+  metric-catalog-sorted       obs::kMetricCatalog rows stay sorted by metric
+                              name
   cmake-sources-complete      the explicit BUSYTIME_SOURCES list in
                               CMakeLists.txt matches src/**/*.cpp exactly
 
@@ -44,7 +44,7 @@ RULES = [
     ("no-stdio-in-library",
      "no std::cout / printf( / rand( / time( in library code under src/"),
     ("metric-catalog-sorted",
-     "obs::builtin_metric_defs() entries are sorted by metric name"),
+     "obs::kMetricCatalog rows are sorted by metric name"),
     ("cmake-sources-complete",
      "the BUSYTIME_SOURCES list in CMakeLists.txt matches src/**/*.cpp"),
 ]
@@ -128,21 +128,20 @@ def check_stdio(root):
 
 def check_metric_catalog(root):
     hpp = root / "src" / "obs" / "metrics.hpp"
-    cpp = root / "src" / "obs" / "metrics.cpp"
-    if not hpp.exists() or not cpp.exists():
+    if not hpp.exists():
         return []  # tree has no obs layer; nothing to check
-    names = dict(METRIC_CONST_RE.findall(hpp.read_text()))
-    body = cpp.read_text()
-    start = body.find("builtin_metric_defs()")
-    end = body.find("return defs;", start)
+    text = hpp.read_text()
+    names = dict(METRIC_CONST_RE.findall(text))
+    start = text.find("kMetricCatalog[] = {")
+    end = text.find("};", start)
     if start < 0 or end < 0:
-        return ["metric-catalog-sorted: src/obs/metrics.cpp: cannot locate "
-                "builtin_metric_defs()"]
-    order = [names.get(k, k) for k in METRIC_USE_RE.findall(body[start:end])]
+        return ["metric-catalog-sorted: src/obs/metrics.hpp: cannot locate "
+                "kMetricCatalog"]
+    order = [names.get(k, k) for k in METRIC_USE_RE.findall(text[start:end])]
     failures = []
     for prev, cur in zip(order, order[1:]):
         if cur <= prev:
-            failures.append(f"metric-catalog-sorted: src/obs/metrics.cpp: "
+            failures.append(f"metric-catalog-sorted: src/obs/metrics.hpp: "
                             f"'{cur}' listed after '{prev}' (catalog must be "
                             f"sorted and duplicate-free)")
     return failures
@@ -205,24 +204,20 @@ def seed_violation_tree(root):
     # umbrella-complete-sorted: missing naughty.hpp, includes a ghost header
     (root / "src" / "busytime.hpp").write_text(
         '#pragma once\n#include "core/ghost.hpp"\n')
-    # metric-catalog-sorted: defs out of order
+    # metric-catalog-sorted: catalog rows out of order
     (root / "src" / "obs" / "metrics.hpp").write_text(
         '#pragma once\n'
         'inline constexpr char kBbb[] = "b.b";\n'
-        'inline constexpr char kAaa[] = "a.a";\n')
-    (root / "src" / "obs" / "metrics.cpp").write_text(
-        'const int& builtin_metric_defs() {\n'
-        '  static const int defs = 0;\n'
-        '  {metric::kBbb, 1};\n'
-        '  {metric::kAaa, 1};\n'
-        '  return defs;\n'
-        '}\n')
+        'inline constexpr char kAaa[] = "a.a";\n'
+        'inline constexpr MetricDef kMetricCatalog[] = {\n'
+        '    {metric::kBbb, MetricKind::kCounter, "b"},\n'
+        '    {metric::kAaa, MetricKind::kCounter, "a"},\n'
+        '};\n')
     # cmake-sources-complete: missing.cpp absent, phantom.cpp listed
     (root / "CMakeLists.txt").write_text(
         "set(BUSYTIME_SOURCES\n"
         "    src/core/good.cpp\n"
-        "    src/core/phantom.cpp\n"
-        "    src/obs/metrics.cpp)\n")
+        "    src/core/phantom.cpp)\n")
 
 
 def self_test():

@@ -23,14 +23,12 @@ DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
   // Deterministic counts: one dispatch run, `count` components, inst.size()
   // jobs — identical totals at every worker count.  Only the *_us
   // histograms carry wall-clock values.
-  obs::MetricsRegistry& sink = obs::metrics_of(context);
-  sink.counter(obs::metric::kSolveDispatchRuns).inc();
-  sink.counter(obs::metric::kSolveComponentsSolved).add(count);
-  sink.counter(obs::metric::kSolveJobsDispatched).add(inst.size());
-  const obs::Histogram component_jobs_hist =
-      sink.histogram(obs::metric::kSolveComponentJobs);
-  const obs::Histogram component_us_hist =
-      sink.histogram(obs::metric::kSolveComponentSolveUs);
+  obs::MetricsRegistry* const metrics = obs::metrics_of(context);
+  if (metrics != nullptr) {
+    metrics->add<obs::metric::kSolveDispatchRuns>();
+    metrics->add<obs::metric::kSolveComponentsSolved>(count);
+    metrics->add<obs::metric::kSolveJobsDispatched>(inst.size());
+  }
   obs::TraceContext* spans = obs::trace_of(context);
   const obs::ScopedSpan dispatch_span(spans, "dispatch",
                                       obs::span_parent(context),
@@ -54,10 +52,13 @@ DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
       parts[i] = std::move(r.schedule);
       names[i] = info->name;
       const auto c1 = std::chrono::steady_clock::now();
-      component_jobs_hist.record(sub.size());
-      component_us_hist.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(c1 - c0)
-              .count()));
+      if (metrics != nullptr) {
+        metrics->record<obs::metric::kSolveComponentJobs>(sub.size());
+        metrics->record<obs::metric::kSolveComponentSolveUs>(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(c1 - c0)
+                    .count()));
+      }
       if (spans != nullptr)
         spans->add("component:" + info->name, dispatch_span.id(), c0, c1,
                    static_cast<std::int64_t>(sub.size()));
@@ -86,7 +87,8 @@ DispatchResult solve_minbusy_auto(const Instance& inst, int threads,
   // No cached decomposition for this request: build the view inline, under
   // a "view_build" span (with the classification phase as its "classify"
   // child; value = component count once known).
-  obs::metrics_of(context).counter(obs::metric::kSolveViewBuildsInline).inc();
+  if (obs::MetricsRegistry* metrics = obs::metrics_of(context))
+    metrics->add<obs::metric::kSolveViewBuildsInline>();
   obs::TraceContext* spans = obs::trace_of(context);
   const std::uint32_t build_span =
       spans != nullptr ? spans->open("view_build", obs::span_parent(context))

@@ -243,9 +243,8 @@ SolveResult detail::solve_request(const EventTrace& trace,
                              "' is not applicable to this instance (" +
                              inst.summary() + ")");
 
-  obs::metrics_of(spec.context.get())
-      .counter(obs::metric::kSolveRequests)
-      .inc();
+  if (obs::MetricsRegistry* metrics = obs::metrics_of(spec.context.get()))
+    metrics->add<obs::metric::kSolveRequests>();
   const SolveSpan solve_span(spec.context.get());
   const auto t0 = std::chrono::steady_clock::now();
   SolveResult result;

@@ -108,11 +108,10 @@ struct RequestContext {
   /// the dispatcher classifies afresh.  Null function: no cache available.
   std::function<const InstanceView*(const Instance&)> view_provider;
 
-  /// Metrics sink for this request's instrumentation (src/obs/).  Installed
-  /// by the Service (its own registry); null means "the process-default
-  /// registry" — instrumentation sites resolve through obs-layer helpers,
-  /// never read this directly.  The installer guarantees the registry
-  /// outlives the request.
+  /// Metrics registry for this request's instrumentation (src/obs/).
+  /// Installed by the Service (its own registry); null records nothing.
+  /// Instrumentation sites resolve it through obs::metrics_of.  The
+  /// installer guarantees the registry outlives the request.
   obs::MetricsRegistry* metrics = nullptr;
   /// Request-scoped span collector; null = tracing off (the common case).
   /// Shared with the caller that requested the trace, so the span tree

@@ -15,14 +15,20 @@
 #include <utility>
 
 #include "api/registry.hpp"
+#include "obs/metrics.hpp"
 
 namespace busytime::net {
 
 namespace {
 
+namespace metric = obs::metric;
+
 /// Sentinel ids in the poll set (connection ids start at 1).
 constexpr std::uint64_t kListenId = 0;
 constexpr std::uint64_t kWakeId = ~std::uint64_t{0};
+
+/// Pending-connection queue length passed to listen().
+constexpr int kListenBacklog = 64;
 
 /// Reactor tick, ms.  Every state change also nudges the wake socket, so
 /// this only bounds how late an external stop() is noticed if the nudge is
@@ -71,15 +77,6 @@ void Server::CompletionChannel::notify() {
 
 Server::Server(Service& service, ServerConfig config)
     : service_(service), config_(std::move(config)) {
-  obs::MetricsRegistry& registry = service_.metrics();
-  connections_ = registry.counter(obs::metric::kNetConnections);
-  frames_in_ = registry.counter(obs::metric::kNetFramesIn);
-  frames_out_ = registry.counter(obs::metric::kNetFramesOut);
-  bytes_in_ = registry.counter(obs::metric::kNetBytesIn);
-  bytes_out_ = registry.counter(obs::metric::kNetBytesOut);
-  decode_errors_ = registry.counter(obs::metric::kNetDecodeErrors);
-  inflight_ = registry.gauge(obs::metric::kNetInflight);
-
   int fds[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
     throw NetError(errno_string("socketpair"));
@@ -114,7 +111,7 @@ void Server::open_listener() {
     throw NetError("bad listen address '" + config_.host + "'");
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
     throw NetError(errno_string("bind"));
-  if (::listen(listen_fd_, config_.backlog) != 0)
+  if (::listen(listen_fd_, kListenBacklog) != 0)
     throw NetError(errno_string("listen"));
   set_nonblocking(listen_fd_);
 
@@ -223,10 +220,10 @@ void Server::accept_ready() {
     }
     set_nonblocking(fd);
     set_nodelay(fd);
-    auto conn = std::make_unique<Connection>(config_.max_payload);
+    auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    connections_.inc();
+    service_.metrics().add<metric::kNetConnections>();
     open_connections_.fetch_add(1, std::memory_order_relaxed);
     conns_.emplace(conn->id, std::move(conn));
   }
@@ -252,7 +249,8 @@ void Server::handle_readable(Connection& conn) {
   while (!conn.read_closed) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      bytes_in_.add(static_cast<std::uint64_t>(n));
+      service_.metrics().add<metric::kNetBytesIn>(
+          static_cast<std::uint64_t>(n));
       conn.decoder.feed(buf, static_cast<std::size_t>(n));
       // Decode after every read: once a large payload's header is read,
       // the decoder appends the reads that follow straight to its buffer.
@@ -275,7 +273,7 @@ void Server::handle_readable(Connection& conn) {
       // Mid-frame disconnect: the peer half-closed with an incomplete
       // frame buffered.  Count it and answer on the (possibly still open)
       // write side before closing.
-      decode_errors_.inc();
+      service_.metrics().add<metric::kNetDecodeErrors>();
       const std::uint64_t seq = reserve_reply(conn);
       fill_reply(conn, seq,
                  encode_error(WireErrorCode::kTruncatedFrame,
@@ -297,7 +295,7 @@ bool Server::dispatch_frames(Connection& conn) {
       // Desynced stream (bad magic / oversized length): report once, then
       // close after the error frame flushes.  Nothing after this point in
       // the byte stream can be trusted, so reading stops here.
-      decode_errors_.inc();
+      service_.metrics().add<metric::kNetDecodeErrors>();
       const std::uint64_t seq = reserve_reply(conn);
       fill_reply(conn, seq,
                  encode_error(conn.decoder.error_code(),
@@ -306,7 +304,7 @@ bool Server::dispatch_frames(Connection& conn) {
       conn.read_closed = true;
       return true;
     }
-    frames_in_.inc();
+    service_.metrics().add<metric::kNetFramesIn>();
     dispatch_frame(conn, std::move(frame));
     if (conns_.find(conn_id) == conns_.end()) return false;
   }
@@ -369,7 +367,7 @@ void Server::dispatch_frame(Connection& conn, Frame frame) {
           fill_reply(conn, seq, encode_frame(MsgType::kReleased));
         }
       } catch (const WireError& e) {
-        decode_errors_.inc();
+        service_.metrics().add<metric::kNetDecodeErrors>();
         reply_error(conn, seq, WireErrorCode::kBadPayload, e.what());
       }
       return;
@@ -383,7 +381,7 @@ void Server::dispatch_frame(Connection& conn, Frame frame) {
     default:
       // Unknown or response-typed frame from the peer.  The framing is
       // still intact, so the connection survives.
-      decode_errors_.inc();
+      service_.metrics().add<metric::kNetDecodeErrors>();
       reply_error(conn, seq, WireErrorCode::kUnknownMessage,
                   "unexpected frame type " + to_string(frame.type));
       return;
@@ -401,7 +399,7 @@ void Server::dispatch_load(Connection& conn, std::uint64_t seq,
     conn.handles.emplace(id, service_.load(std::move(workload)));
     fill_reply(conn, seq, frame_of(MsgType::kHandle, id, jobs, g));
   } catch (const std::exception& e) {
-    decode_errors_.inc();
+    service_.metrics().add<metric::kNetDecodeErrors>();
     reply_error(conn, seq, WireErrorCode::kBadPayload, e.what());
   }
 }
@@ -418,7 +416,7 @@ void Server::dispatch_solve(Connection& conn, const std::string& payload) {
     m >> handle_id >> spec;
     if (!m.done()) throw WireError("solve payload carries trailing bytes");
   } catch (const WireError& e) {
-    decode_errors_.inc();
+    service_.metrics().add<metric::kNetDecodeErrors>();
     reply_error(conn, seq, WireErrorCode::kBadPayload, e.what());
     return;
   }
@@ -433,7 +431,8 @@ void Server::dispatch_solve(Connection& conn, const std::string& payload) {
 
   ++conn.inflight;
   ++inflight_total_;
-  inflight_.add(1);
+  service_.metrics().set<metric::kNetInflight>(
+      static_cast<std::int64_t>(inflight_total_));
   // The worker thread encodes the response, so the reactor only moves
   // ready-made bytes.
   service_.submit(
@@ -465,7 +464,8 @@ void Server::drain_completions() {
   }
   for (Completion& completion : batch) {
     --inflight_total_;
-    inflight_.add(-1);
+    service_.metrics().set<metric::kNetInflight>(
+        static_cast<std::int64_t>(inflight_total_));
     const auto it = conns_.find(completion.conn_id);
     if (it == conns_.end()) continue;  // disconnected mid-solve: drop
     Connection& conn = *it->second;
@@ -504,7 +504,7 @@ void Server::flush_replies(Connection& conn) {
     } else {
       conn.out += bytes;
     }
-    frames_out_.inc();
+    service_.metrics().add<metric::kNetFramesOut>();
     conn.replies.pop_front();
     ++conn.replies_popped;
   }
@@ -513,7 +513,8 @@ void Server::flush_replies(Connection& conn) {
     const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_pos,
                              conn.out.size() - conn.out_pos, MSG_NOSIGNAL);
     if (n > 0) {
-      bytes_out_.add(static_cast<std::uint64_t>(n));
+      service_.metrics().add<metric::kNetBytesOut>(
+          static_cast<std::uint64_t>(n));
       conn.out_pos += static_cast<std::size_t>(n);
       continue;
     }

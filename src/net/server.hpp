@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "net/protocol.hpp"
-#include "obs/metrics.hpp"
 #include "service/service.hpp"
 
 namespace busytime::net {
@@ -54,9 +53,6 @@ struct ServerConfig {
   /// Port to bind; 0 asks the kernel for an ephemeral port (read the
   /// resolved one back via port()).
   std::uint16_t port = 0;
-  int backlog = 64;
-  /// Per-frame payload cap enforced by the decoder (tests shrink it).
-  std::size_t max_payload = kMaxPayloadBytes;
 };
 
 /// A bound, listening serving endpoint.  Construct (binds + listens, throws
@@ -109,8 +105,6 @@ class Server {
     std::size_t inflight = 0;  ///< solves submitted, reply slot not yet filled
     bool closing = false;      ///< close once replies are flushed
     bool read_closed = false;  ///< peer sent EOF (stop reading, may still write)
-
-    explicit Connection(std::size_t max_payload) : decoder(max_payload) {}
   };
 
   struct Completion {
@@ -178,14 +172,6 @@ class Server {
   std::atomic<bool> stop_requested_{false};
   bool draining_ = false;
   bool running_ = false;
-
-  obs::Counter connections_;
-  obs::Counter frames_in_;
-  obs::Counter frames_out_;
-  obs::Counter bytes_in_;
-  obs::Counter bytes_out_;
-  obs::Counter decode_errors_;
-  obs::Gauge inflight_;
 };
 
 }  // namespace busytime::net

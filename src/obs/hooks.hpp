@@ -12,13 +12,11 @@
 
 namespace busytime::obs {
 
-/// The metrics sink of a request: the registry its Service installed, or
-/// the process-default registry for instrumentation running outside any
-/// Service (direct solve_minbusy_auto / replay_stream calls).
-inline MetricsRegistry& metrics_of(const RequestContext* ctx) {
-  return ctx != nullptr && ctx->metrics != nullptr
-             ? *ctx->metrics
-             : MetricsRegistry::process_default();
+/// The metrics registry of a request: the one its Service installed, or
+/// null outside any Service (direct solve_minbusy_auto / replay_stream
+/// calls), where instrumentation records nothing.
+inline MetricsRegistry* metrics_of(const RequestContext* ctx) noexcept {
+  return ctx != nullptr ? ctx->metrics : nullptr;
 }
 
 /// The request's span collector; null = tracing off.

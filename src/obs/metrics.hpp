@@ -1,37 +1,38 @@
-// Observability layer, part 1: the process/service metrics registry.
+// Observability layer, part 1: the metric catalog and its registry.
 //
-// A MetricsRegistry is a named set of counters, gauges, and fixed-bucket
-// latency histograms designed to stay on in release builds:
+// kMetricCatalog lists every metric the busytime stack emits: its name,
+// kind and one-line meaning, sorted by name.  It is the only such list;
+// docs/OBSERVABILITY.md and `busytime_cli --list-metrics` are checked
+// against it.  A MetricsRegistry holds one cell per catalog row from the
+// moment it is built, and is designed to stay on in release builds:
 //
+//  * a write names its metric by an obs::metric constant
+//    (`registry.add<metric::kSolveRequests>()`), which resolves to its
+//    row's cell at compile time; a name outside the catalog, or a write of
+//    the wrong kind, does not compile;
 //  * the write path is lock-free — counters and histograms stripe their
 //    storage across cache-line-padded per-thread slots, so concurrent
 //    workers never contend on one atomic, and a write is a single relaxed
 //    fetch_add on the caller's stripe;
 //  * reads happen only at snapshot() time, which merges the stripes into a
-//    MetricsSnapshot (plain values, sorted by name) and renders it as a
-//    util/table or as the stable `busytime-metrics-v1` JSON schema
-//    (docs/OBSERVABILITY.md).
+//    MetricsSnapshot (plain values in catalog order, which is name order,
+//    zeros included, so consumers can diff snapshots structurally) and
+//    renders it as a util/table or as the stable `busytime-metrics-v1`
+//    JSON schema (docs/OBSERVABILITY.md).
 //
 // Determinism contract, extended to instrumentation: *what* is counted for
 // a given instance + spec is exact and assertable — the same request yields
 // the same counter totals at every worker count; only the duration-valued
 // histograms (and the exec.* utilization gauges) vary run to run.
-//
-// Every metric a busytime binary emits is preregistered from
-// builtin_metric_defs(), the single catalog that docs/OBSERVABILITY.md and
-// `busytime_cli --list-metrics` are checked against; snapshots therefore
-// always carry the full key set (zeros included), so consumers can diff
-// them structurally.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,21 +48,16 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 std::string to_string(MetricKind kind);
 
-/// Catalog entry: the registered name, its kind, and the one-line meaning
-/// that docs/OBSERVABILITY.md mirrors.
+/// Catalog row: the metric's name, its kind, and the one-line meaning that
+/// docs/OBSERVABILITY.md mirrors.
 struct MetricDef {
-  std::string name;
-  MetricKind kind = MetricKind::kCounter;
-  std::string help;
+  const char* name;
+  MetricKind kind;
+  const char* help;
 };
 
-/// Every metric the busytime stack emits, sorted by name — the source of
-/// truth for `busytime_cli --list-metrics` and the docs drift check.
-const std::vector<MetricDef>& builtin_metric_defs();
-
 // ------------------------------------------------------------ metric names
-// Shared by instrumentation sites, the catalog, and the tests; a typo in a
-// site would otherwise silently register a second metric.
+// The names instrumentation sites, the catalog rows and the tests share.
 namespace metric {
 inline constexpr char kServiceRequests[] = "service.requests";
 inline constexpr char kServiceCompleted[] = "service.completed";
@@ -109,6 +105,103 @@ inline constexpr char kNetBytesOut[] = "net.bytes_out";
 inline constexpr char kNetDecodeErrors[] = "net.decode_errors";
 inline constexpr char kNetInflight[] = "net.inflight";
 }  // namespace metric
+
+/// Every metric the busytime stack emits, sorted by name (a project lint
+/// rule keeps it so): the source of truth for `busytime_cli --list-metrics`,
+/// the docs drift check, and the cells of every MetricsRegistry.
+inline constexpr MetricDef kMetricCatalog[] = {
+    {metric::kExecBusyUsTotal, MetricKind::kGauge,
+     "Total worker time spent running tasks, microseconds (pool sample)"},
+    {metric::kExecIdleUsTotal, MetricKind::kGauge,
+     "Total worker time spent parked on the queue, microseconds (pool sample)"},
+    {metric::kExecQueueDepthPeak, MetricKind::kGauge,
+     "Deepest the pool's task queue has been (pool sample)"},
+    {metric::kExecQueueWaitUsMax, MetricKind::kGauge,
+     "Longest a task sat queued before a worker picked it up, microseconds"},
+    {metric::kExecQueueWaitUsTotal, MetricKind::kGauge,
+     "Total queued-task wait time, microseconds (pool sample)"},
+    {metric::kExecTasksExecuted, MetricKind::kGauge,
+     "Tasks the pool's workers have finished (pool sample)"},
+    {metric::kExecTasksSubmitted, MetricKind::kGauge,
+     "Tasks handed to the pool's queue (pool sample)"},
+    {metric::kExecWorkers, MetricKind::kGauge,
+     "Worker threads the pool has started (pool sample)"},
+    {metric::kNetBytesIn, MetricKind::kCounter,
+     "Bytes read from remote-serving connections"},
+    {metric::kNetBytesOut, MetricKind::kCounter,
+     "Bytes written to remote-serving connections"},
+    {metric::kNetConnections, MetricKind::kCounter,
+     "TCP connections accepted by the serving reactor"},
+    {metric::kNetDecodeErrors, MetricKind::kCounter,
+     "Malformed frames (bad magic, oversized, truncated, bad payload)"},
+    {metric::kNetFramesIn, MetricKind::kCounter,
+     "Request frames decoded from remote-serving connections"},
+    {metric::kNetFramesOut, MetricKind::kCounter,
+     "Response frames written to remote-serving connections"},
+    {metric::kNetInflight, MetricKind::kGauge,
+     "Remote solve requests submitted to the Service and not yet replied"},
+    {metric::kOnlineCancelsReplayed, MetricKind::kCounter,
+     "Retraction records fed through online policies"},
+    {metric::kOnlineJobsReplayed, MetricKind::kCounter,
+     "Arrivals fed through online policies"},
+    {metric::kOnlineReplays, MetricKind::kCounter,
+     "Sharded stream replays started"},
+    {metric::kOnlineShardJobs, MetricKind::kHistogram,
+     "Arrivals per replay shard (deterministic for a given request)"},
+    {metric::kOnlineShardReplayUs, MetricKind::kHistogram,
+     "Wall time per replay shard, microseconds"},
+    {metric::kOnlineShardsRun, MetricKind::kCounter,
+     "Shards replayed across all stream replays"},
+    {metric::kServiceCacheBytes, MetricKind::kGauge,
+     "Bytes the result cache currently holds (0 when caching is off)"},
+    {metric::kServiceCacheEvictions, MetricKind::kCounter,
+     "Result-cache entries evicted to stay under the byte cap"},
+    {metric::kServiceCacheHits, MetricKind::kCounter,
+     "Requests served from the result cache (no solve ran)"},
+    {metric::kServiceCacheMisses, MetricKind::kCounter,
+     "Cache-eligible requests that had to compute their result"},
+    {metric::kServiceCancelled, MetricKind::kCounter,
+     "Requests completed with status kCancelled"},
+    {metric::kServiceCompleted, MetricKind::kCounter,
+     "Requests that reached a terminal state (any status, or threw)"},
+    {metric::kServiceDeadlineExpired, MetricKind::kCounter,
+     "Requests completed with status kDeadline"},
+    {metric::kServiceFailed, MetricKind::kCounter,
+     "Requests that threw (unknown solver, not applicable, ...)"},
+    {metric::kServiceHandlesLoaded, MetricKind::kCounter,
+     "InstanceHandles created by Service::load"},
+    {metric::kServiceOk, MetricKind::kCounter,
+     "Requests completed with status kOk"},
+    {metric::kServiceQueueWaitUs, MetricKind::kHistogram,
+     "Submit-to-execution wait per pooled request, microseconds"},
+    {metric::kServiceRequestUs, MetricKind::kHistogram,
+     "End-to-end request wall time (queue wait included), microseconds"},
+    {metric::kServiceRequests, MetricKind::kCounter,
+     "Requests entering the Service (submitted and blocking)"},
+    {metric::kServiceShed, MetricKind::kCounter,
+     "Requests rejected by admission control with status kShedded"},
+    {metric::kServiceTenantQueueDepth, MetricKind::kGauge,
+     "Deepest any tenant queue has been (scheduling-dependent, varies run "
+     "to run)"},
+    {metric::kServiceViewBuilds, MetricKind::kCounter,
+     "Cached InstanceView decompositions built by handles"},
+    {metric::kServiceViewHits, MetricKind::kCounter,
+     "Warm re-solves that reused a handle's cached InstanceView"},
+    {metric::kSolveComponentJobs, MetricKind::kHistogram,
+     "Jobs per dispatched component (deterministic for a given request)"},
+    {metric::kSolveComponentSolveUs, MetricKind::kHistogram,
+     "Wall time per dispatched component solve, microseconds"},
+    {metric::kSolveComponentsSolved, MetricKind::kCounter,
+     "Components solved by the per-component dispatcher"},
+    {metric::kSolveDispatchRuns, MetricKind::kCounter,
+     "Per-component dispatcher invocations"},
+    {metric::kSolveJobsDispatched, MetricKind::kCounter,
+     "Jobs covered by dispatched components"},
+    {metric::kSolveRequests, MetricKind::kCounter,
+     "Requests reaching the api/ run path"},
+    {metric::kSolveViewBuildsInline, MetricKind::kCounter,
+     "InstanceViews built inline by dispatch (no handle cache available)"},
+};
 
 // ------------------------------------------------------------------ cells
 
@@ -199,58 +292,36 @@ struct HistogramCell {
   }
 };
 
+inline constexpr std::size_t kCatalogRows = std::size(kMetricCatalog);
+
+/// The catalog row named `name`; kCatalogRows when there is none.
+constexpr std::size_t catalog_row(std::string_view name) {
+  std::size_t row = 0;
+  while (row < kCatalogRows && name != kMetricCatalog[row].name) ++row;
+  return row;
+}
+
+/// Rows of `kind` among the catalog's first `rows`: over the whole catalog,
+/// a registry's cells of that kind; up to a row of that kind, its cell.
+constexpr std::size_t cells_of(MetricKind kind,
+                               std::size_t rows = kCatalogRows) {
+  std::size_t cells = 0;
+  for (std::size_t row = 0; row < rows; ++row)
+    if (kMetricCatalog[row].kind == kind) ++cells;
+  return cells;
+}
+
+/// The cell of metric `Name` among the cells of `Kind`.
+template <const char* Name, MetricKind Kind>
+constexpr std::size_t cell_of() {
+  constexpr std::size_t row = catalog_row(Name);
+  static_assert(row < kCatalogRows, "metric is not a row of kMetricCatalog");
+  static_assert(row == kCatalogRows || kMetricCatalog[row].kind == Kind,
+                "metric written as a kind its catalog row does not have");
+  return cells_of(Kind, row);
+}
+
 }  // namespace detail
-
-// ---------------------------------------------------------------- handles
-// Cheap copyable handles bound to a registry cell.  A default-constructed
-// handle is inert (every operation a no-op), so instrumentation sites never
-// need a null check.  A handle must not outlive its registry — holders that
-// can outlive a Service (e.g. InstanceState) keep a shared_ptr to the
-// registry alongside.
-
-class Counter {
- public:
-  Counter() = default;
-  void add(std::uint64_t delta) const noexcept {
-    if (cell_ != nullptr) cell_->add(delta);
-  }
-  void inc() const noexcept { add(1); }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(detail::CounterCell* cell) : cell_(cell) {}
-  detail::CounterCell* cell_ = nullptr;
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  void set(std::int64_t value) const noexcept {
-    if (cell_ != nullptr) cell_->value.store(value, std::memory_order_relaxed);
-  }
-  void add(std::int64_t delta) const noexcept {
-    if (cell_ != nullptr)
-      cell_->value.fetch_add(delta, std::memory_order_relaxed);
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(detail::GaugeCell* cell) : cell_(cell) {}
-  detail::GaugeCell* cell_ = nullptr;
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  void record(std::uint64_t value) const noexcept {
-    if (cell_ != nullptr) cell_->record(value);
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Histogram(detail::HistogramCell* cell) : cell_(cell) {}
-  detail::HistogramCell* cell_ = nullptr;
-};
 
 // --------------------------------------------------------------- snapshot
 
@@ -277,7 +348,7 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 
   /// Value lookups; a name this snapshot does not carry reads as zero /
-  /// null (snapshots of a default-built registry carry every builtin).
+  /// null (a registry's snapshots carry every catalog row).
   std::uint64_t counter_value(const std::string& name) const noexcept;
   std::int64_t gauge_value(const std::string& name) const noexcept;
   const HistogramSnapshot* histogram(const std::string& name) const noexcept;
@@ -294,50 +365,39 @@ struct MetricsSnapshot {
 
 // --------------------------------------------------------------- registry
 
-/// A named metric set.  Handles are resolved once (a mutex-guarded map
-/// lookup, registering the name on first use) and written lock-free
-/// thereafter.  Looking a name up with the wrong kind throws — one name,
-/// one kind, process-wide.
+/// One cell per kMetricCatalog row, built with the registry.  Writes name
+/// their metric at compile time and never lock; see the file comment.
 class MetricsRegistry {
  public:
-  /// Preregisters every builtin_metric_defs() entry, so snapshot() always
-  /// carries the full catalog.
-  MetricsRegistry();
-
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
-  Histogram histogram(const std::string& name);
+  /// Adds `delta` to counter `Name`.
+  template <const char* Name>
+  void add(std::uint64_t delta = 1) noexcept {
+    constexpr std::size_t cell = detail::cell_of<Name, MetricKind::kCounter>();
+    counters_[cell].add(delta);
+  }
+  /// Sets gauge `Name` to `value`.
+  template <const char* Name>
+  void set(std::int64_t value) noexcept {
+    constexpr std::size_t cell = detail::cell_of<Name, MetricKind::kGauge>();
+    gauges_[cell].value.store(value, std::memory_order_relaxed);
+  }
+  /// Records one `value` into histogram `Name`.
+  template <const char* Name>
+  void record(std::uint64_t value) noexcept {
+    constexpr std::size_t cell =
+        detail::cell_of<Name, MetricKind::kHistogram>();
+    histograms_[cell].record(value);
+  }
 
   /// Merges every stripe into plain values.  Safe to call concurrently with
   /// writes: each stripe is read atomically, so totals are a consistent
   /// "at or after the call" lower bound (exact once writers are quiescent).
   MetricsSnapshot snapshot() const;
 
-  /// Registered names + kinds, sorted (the builtins plus anything
-  /// registered on first use).
-  std::vector<MetricDef> registered() const;
-
-  /// The registry behind instrumentation that runs outside any Service
-  /// (direct solve_minbusy_auto / replay_stream calls).  Never destroyed,
-  /// same discipline as exec::ThreadPool::shared().
-  static MetricsRegistry& process_default();
-
  private:
-  struct Entry {
-    MetricKind kind = MetricKind::kCounter;
-    std::string help;
-    std::unique_ptr<detail::CounterCell> counter;
-    std::unique_ptr<detail::GaugeCell> gauge;
-    std::unique_ptr<detail::HistogramCell> histogram;
-  };
-
-  Entry& entry_for(const std::string& name, MetricKind kind);
-
-  mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
+  detail::CounterCell counters_[detail::cells_of(MetricKind::kCounter)];
+  detail::GaugeCell gauges_[detail::cells_of(MetricKind::kGauge)];
+  detail::HistogramCell histograms_[detail::cells_of(MetricKind::kHistogram)];
 };
 
 /// Publishes an exec::ThreadPool stats sample into the exec.* gauges of

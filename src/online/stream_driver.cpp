@@ -94,15 +94,13 @@ ReplayResult replay_events(const Instance& trace,
   // Deterministic counts: the shard plan depends on the *requested* thread
   // count and the trace, never on execution interleaving, so shards_run is
   // exact and assertable for a pinned request.
-  obs::MetricsRegistry& sink = obs::metrics_of(context);
-  sink.counter(obs::metric::kOnlineReplays).inc();
-  sink.counter(obs::metric::kOnlineJobsReplayed).add(trace.size());
-  sink.counter(obs::metric::kOnlineCancelsReplayed).add(cancels.size());
-  sink.counter(obs::metric::kOnlineShardsRun).add(shards.size());
-  const obs::Histogram shard_jobs_hist =
-      sink.histogram(obs::metric::kOnlineShardJobs);
-  const obs::Histogram shard_us_hist =
-      sink.histogram(obs::metric::kOnlineShardReplayUs);
+  obs::MetricsRegistry* const metrics = obs::metrics_of(context);
+  if (metrics != nullptr) {
+    metrics->add<obs::metric::kOnlineReplays>();
+    metrics->add<obs::metric::kOnlineJobsReplayed>(trace.size());
+    metrics->add<obs::metric::kOnlineCancelsReplayed>(cancels.size());
+    metrics->add<obs::metric::kOnlineShardsRun>(shards.size());
+  }
   obs::TraceContext* spans = obs::trace_of(context);
   const obs::ScopedSpan replay_span(spans, "replay", obs::span_parent(context),
                                     static_cast<std::int64_t>(shards.size()));
@@ -169,10 +167,13 @@ ReplayResult replay_events(const Instance& trace,
     runs[s].stats = sched->stats();
     const auto s1 = std::chrono::steady_clock::now();
     const std::size_t arrivals = shards[s].end - shards[s].begin;
-    shard_jobs_hist.record(arrivals);
-    shard_us_hist.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(s1 - s0)
-            .count()));
+    if (metrics != nullptr) {
+      metrics->record<obs::metric::kOnlineShardJobs>(arrivals);
+      metrics->record<obs::metric::kOnlineShardReplayUs>(
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(s1 - s0)
+                  .count()));
+    }
     if (spans != nullptr)
       spans->add("shard", replay_span.id(), s0, s1,
                  static_cast<std::int64_t>(arrivals));

@@ -51,8 +51,8 @@ struct ReplayResult {
 /// Deterministic: identical output at every thread count.
 ///
 /// `context` is the observability/controls hook: replay counters and
-/// per-shard histograms are recorded into its metrics sink (the
-/// process-default registry when null) and shard spans into its trace.
+/// per-shard histograms are recorded into its metrics registry (nothing is
+/// recorded when there is none) and shard spans into its trace.
 ReplayResult replay_stream(const Instance& trace, OnlinePolicy policy,
                            const PolicyParams& params, int threads = 1,
                            std::size_t min_shard_jobs = kMinShardJobs,

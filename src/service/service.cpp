@@ -12,6 +12,8 @@ namespace busytime {
 
 namespace {
 
+namespace metric = obs::metric;
+
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
                          std::chrono::steady_clock::time_point to) {
   return static_cast<std::uint64_t>(
@@ -34,13 +36,7 @@ SolveResult make_shed_result(const std::string& solver, std::size_t jobs) {
 
 InstanceState::InstanceState(EventTrace trace,
                              std::shared_ptr<obs::MetricsRegistry> registry)
-    : trace_(std::move(trace)) {
-  if (registry != nullptr) {
-    builds_counter_ = registry->counter(obs::metric::kServiceViewBuilds);
-    hits_counter_ = registry->counter(obs::metric::kServiceViewHits);
-    registry_ = std::move(registry);
-  }
-}
+    : trace_(std::move(trace)), registry_(std::move(registry)) {}
 
 std::uint64_t InstanceState::fingerprint() const {
   std::call_once(fingerprint_once_, [this] {
@@ -52,21 +48,6 @@ std::uint64_t InstanceState::fingerprint() const {
 Service::Service(ServiceConfig config)
     : workers_(exec::resolve_threads(config.workers)),
       registry_(std::make_shared<obs::MetricsRegistry>()) {
-  handles_loaded_ = registry_->counter(obs::metric::kServiceHandlesLoaded);
-  requests_ = registry_->counter(obs::metric::kServiceRequests);
-  completed_ = registry_->counter(obs::metric::kServiceCompleted);
-  ok_ = registry_->counter(obs::metric::kServiceOk);
-  deadline_expired_ = registry_->counter(obs::metric::kServiceDeadlineExpired);
-  cancelled_ = registry_->counter(obs::metric::kServiceCancelled);
-  failed_ = registry_->counter(obs::metric::kServiceFailed);
-  shed_ = registry_->counter(obs::metric::kServiceShed);
-  cache_hits_ = registry_->counter(obs::metric::kServiceCacheHits);
-  cache_misses_ = registry_->counter(obs::metric::kServiceCacheMisses);
-  cache_evictions_ = registry_->counter(obs::metric::kServiceCacheEvictions);
-  cache_bytes_gauge_ = registry_->gauge(obs::metric::kServiceCacheBytes);
-  tenant_queue_depth_ = registry_->gauge(obs::metric::kServiceTenantQueueDepth);
-  queue_wait_us_ = registry_->histogram(obs::metric::kServiceQueueWaitUs);
-  request_us_ = registry_->histogram(obs::metric::kServiceRequestUs);
   if (config.cache_bytes > 0)
     cache_ = std::make_unique<ResultCache>(config.cache_bytes);
   scheduler_.set_max_queue(config.max_queue);
@@ -76,17 +57,21 @@ Service::Service(ServiceConfig config)
 }
 
 InstanceHandle Service::load(EventTrace trace) {
-  handles_loaded_.inc();
+  registry_->add<metric::kServiceHandlesLoaded>();
   return std::make_shared<const InstanceState>(std::move(trace), registry_);
 }
 
 SolveResult Service::record(SolveResult result) noexcept {
-  completed_.inc();
+  registry_->add<metric::kServiceCompleted>();
   switch (result.status) {
-    case SolveStatus::kOk: ok_.inc(); break;
-    case SolveStatus::kDeadline: deadline_expired_.inc(); break;
-    case SolveStatus::kCancelled: cancelled_.inc(); break;
-    case SolveStatus::kShedded: shed_.inc(); break;
+    case SolveStatus::kOk: registry_->add<metric::kServiceOk>(); break;
+    case SolveStatus::kDeadline:
+      registry_->add<metric::kServiceDeadlineExpired>();
+      break;
+    case SolveStatus::kCancelled:
+      registry_->add<metric::kServiceCancelled>();
+      break;
+    case SolveStatus::kShedded: registry_->add<metric::kServiceShed>(); break;
   }
   return result;
 }
@@ -123,7 +108,7 @@ std::optional<ResultCache::Key> Service::cache_key(
 bool Service::cache_find(const ResultCache::Key& key, const SolverSpec& spec,
                          SolveResult* hit) {
   if (!cache_->lookup(key, hit)) return false;
-  cache_hits_.inc();
+  registry_->add<metric::kServiceCacheHits>();
   if (const SolverInfo* info = SolverRegistry::instance().find(spec.name))
     hit->ignored_options = detail::ignored_options(*info, spec.options);
   return true;
@@ -132,8 +117,9 @@ bool Service::cache_find(const ResultCache::Key& key, const SolverSpec& spec,
 void Service::cache_store(const ResultCache::Key& key,
                           const SolveResult& result) {
   const std::size_t evicted = cache_->insert(key, result);
-  if (evicted > 0) cache_evictions_.add(evicted);
-  cache_bytes_gauge_.set(static_cast<std::int64_t>(cache_->bytes()));
+  if (evicted > 0) registry_->add<metric::kServiceCacheEvictions>(evicted);
+  registry_->set<metric::kServiceCacheBytes>(
+      static_cast<std::int64_t>(cache_->bytes()));
 }
 
 bool Service::enqueue(const TenantHandle& tenant, std::function<void()> task) {
@@ -141,7 +127,7 @@ bool Service::enqueue(const TenantHandle& tenant, std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     if (!scheduler_.try_enqueue(tenant, std::move(task))) return false;
-    tenant_queue_depth_.set(
+    registry_->set<metric::kServiceTenantQueueDepth>(
         static_cast<std::int64_t>(scheduler_.depth_peak()));
     if (pumps_ < workers_) {
       ++pumps_;
@@ -201,7 +187,8 @@ SolveResult Service::run_request(const EventTrace& trace,
       return &inst == &state->solve_target() ? &state->view() : nullptr;
     };
   if (queued) {
-    queue_wait_us_.record(elapsed_us(start, picked_up));
+    registry_->record<metric::kServiceQueueWaitUs>(
+        elapsed_us(start, picked_up));
     if (context->trace != nullptr)
       context->trace->add("queue_wait", context->trace_root, start, picked_up);
   }
@@ -210,7 +197,8 @@ SolveResult Service::run_request(const EventTrace& trace,
   // service.request_us and the root span close around the solve, success
   // or throw.
   const auto finish = [&] {
-    request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
+    registry_->record<metric::kServiceRequestUs>(
+        elapsed_us(start, std::chrono::steady_clock::now()));
     if (ctx.trace != nullptr) ctx.trace->close(ctx.trace_root);
   };
   try {
@@ -218,8 +206,8 @@ SolveResult Service::run_request(const EventTrace& trace,
     finish();
     return result;
   } catch (...) {
-    completed_.inc();
-    failed_.inc();
+    registry_->add<metric::kServiceCompleted>();
+    registry_->add<metric::kServiceFailed>();
     finish();
     throw;
   }
@@ -233,11 +221,12 @@ SolveResult Service::serve(const InstanceHandle& handle, const SolverSpec& spec,
     SolveResult hit;
     if (cache_find(*key, spec, &hit)) {
       const auto now = std::chrono::steady_clock::now();
-      if (queued) queue_wait_us_.record(elapsed_us(start, now));
-      request_us_.record(elapsed_us(start, now));
+      if (queued)
+        registry_->record<metric::kServiceQueueWaitUs>(elapsed_us(start, now));
+      registry_->record<metric::kServiceRequestUs>(elapsed_us(start, now));
       return record(std::move(hit));
     }
-    cache_misses_.inc();
+    registry_->add<metric::kServiceCacheMisses>();
   }
   SolveResult result =
       run_request(handle->trace(), handle.get(), spec, start, queued);
@@ -251,7 +240,7 @@ void Service::submit(InstanceHandle handle, SolverSpec spec, SolveCallback done,
     throw std::invalid_argument("Service::submit: null InstanceHandle");
   if (!done)
     throw std::invalid_argument("Service::submit: null SolveCallback");
-  requests_.inc();
+  registry_->add<metric::kServiceRequests>();
   const auto start = std::chrono::steady_clock::now();
 
   // Submit-time cache hits complete inline; a miss is not final yet (the
@@ -259,7 +248,8 @@ void Service::submit(InstanceHandle handle, SolverSpec spec, SolveCallback done,
   std::optional<ResultCache::Key> key = cache_key(*handle, spec);
   SolveResult hit;
   if (key && cache_find(*key, spec, &hit)) {
-    request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
+    registry_->record<metric::kServiceRequestUs>(
+        elapsed_us(start, std::chrono::steady_clock::now()));
     done(record(std::move(hit)), nullptr);
     return;
   }
@@ -280,7 +270,8 @@ void Service::submit(InstanceHandle handle, SolverSpec spec, SolveCallback done,
     done(std::move(result), nullptr);
   };
   if (!enqueue(tenant ? tenant : default_tenant_, std::move(task))) {
-    request_us_.record(elapsed_us(start, std::chrono::steady_clock::now()));
+    registry_->record<metric::kServiceRequestUs>(
+        elapsed_us(start, std::chrono::steady_clock::now()));
     done(record(make_shed_result(solver_name, jobs)), nullptr);
   }
 }
@@ -305,13 +296,13 @@ SolveResult Service::solve(const InstanceHandle& handle,
                            const SolverSpec& spec) {
   if (!handle)
     throw std::invalid_argument("Service::solve: null InstanceHandle");
-  requests_.inc();
+  registry_->add<metric::kServiceRequests>();
   const auto start = std::chrono::steady_clock::now();
   return serve(handle, spec, cache_key(*handle, spec), start, /*queued=*/false);
 }
 
 SolveResult Service::solve(const EventTrace& workload, const SolverSpec& spec) {
-  requests_.inc();
+  registry_->add<metric::kServiceRequests>();
   return run_request(workload, nullptr, spec, std::chrono::steady_clock::now(),
                      /*queued=*/false);
 }

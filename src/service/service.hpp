@@ -87,8 +87,8 @@ class InstanceState {
  public:
   /// A non-null `registry` (the owning Service's) additionally receives
   /// the service-wide service.view_builds / service.view_hits counters;
-  /// the shared_ptr keeps the cells alive even when a handle outlives its
-  /// Service.
+  /// the shared_ptr keeps that registry alive even when a handle outlives
+  /// its Service.
   explicit InstanceState(
       EventTrace trace,
       std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
@@ -125,10 +125,10 @@ class InstanceState {
     });
     if (built_now) {
       view_builds_.fetch_add(1, std::memory_order_relaxed);
-      builds_counter_.inc();
+      if (registry_) registry_->add<obs::metric::kServiceViewBuilds>();
     } else {
       view_hits_.fetch_add(1, std::memory_order_relaxed);
-      hits_counter_.inc();
+      if (registry_) registry_->add<obs::metric::kServiceViewHits>();
     }
     return *view_;
   }
@@ -150,10 +150,9 @@ class InstanceState {
   EventTrace trace_;
   mutable std::once_flag fingerprint_once_;
   mutable std::uint64_t fingerprint_ = 0;
-  /// Keeps the counter cells alive for handles that outlive their Service.
+  /// The owning Service's registry (null: count nothing), kept alive for
+  /// handles that outlive their Service.
   std::shared_ptr<obs::MetricsRegistry> registry_;
-  obs::Counter builds_counter_;  ///< service.view_builds (inert without registry)
-  obs::Counter hits_counter_;    ///< service.view_hits
   mutable std::once_flag view_once_;
   mutable std::unique_ptr<const InstanceView> view_;
   mutable std::atomic<std::uint64_t> view_hits_{0};
@@ -309,25 +308,9 @@ class Service {
 
   int workers_ = 1;
 
-  /// Shared so counter-handle holders that outlive the Service (loaded
-  /// InstanceHandles) keep the cells alive.  Declared before every handle
-  /// resolved from it.
+  /// Shared so loaded InstanceHandles, which may outlive the Service, keep
+  /// it alive.
   std::shared_ptr<obs::MetricsRegistry> registry_;
-  obs::Counter handles_loaded_;
-  obs::Counter requests_;
-  obs::Counter completed_;
-  obs::Counter ok_;
-  obs::Counter deadline_expired_;
-  obs::Counter cancelled_;
-  obs::Counter failed_;
-  obs::Counter shed_;
-  obs::Counter cache_hits_;
-  obs::Counter cache_misses_;
-  obs::Counter cache_evictions_;
-  obs::Gauge cache_bytes_gauge_;
-  obs::Gauge tenant_queue_depth_;
-  obs::Histogram queue_wait_us_;
-  obs::Histogram request_us_;
 
   /// Null when ServiceConfig::cache_bytes == 0 (caching off).
   std::unique_ptr<ResultCache> cache_;

@@ -51,8 +51,7 @@ struct ServerFixture {
   net::Server server;
   std::thread reactor;
 
-  explicit ServerFixture(net::ServerConfig config = {})
-      : service(), server(service, std::move(config)) {
+  ServerFixture() : service(), server(service) {
     reactor = std::thread([this] { server.run(); });
   }
 
@@ -444,9 +443,7 @@ TEST(NetServer, BadMagicGetsTypedErrorThenClose) {
 }
 
 TEST(NetServer, OversizedFrameGetsTypedErrorThenClose) {
-  net::ServerConfig config;
-  config.max_payload = 4096;
-  ServerFixture fx(config);
+  ServerFixture fx;
   RawConn conn(fx.server.port());
   net::ibinstream header;
   header << net::kMagic << static_cast<std::uint8_t>(net::MsgType::kLoadInstance)

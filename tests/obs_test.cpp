@@ -1,6 +1,8 @@
-// Observability layer (src/obs/): the sharded MetricsRegistry must count
-// exactly (lock-free stripes merge to the true totals, even under 8-thread
-// contention), TraceContext must record a well-formed span tree, the
+// Observability layer (src/obs/): the sharded MetricsRegistry must give
+// every catalog row a cell of its own and count exactly (lock-free stripes
+// merge to the true totals, even under 8-thread contention), metrics must
+// land only in the registry a request carries, TraceContext must record a
+// well-formed span tree, the
 // ThreadPool accounting must match the tasks actually run, and — the
 // determinism contract extended to instrumentation — a pinned instance
 // solved through Service::submit must produce identical deterministic
@@ -12,10 +14,11 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/dispatch.hpp"
@@ -44,39 +47,36 @@ Instance test_trace(int n = 150, std::uint64_t seed = 7) {
 
 TEST(ObsMetrics, CounterAndGaugeSemantics) {
   obs::MetricsRegistry reg;
-  const obs::Counter c = reg.counter("test.counter");
-  c.inc();
-  c.add(41);
-  const obs::Gauge g = reg.gauge("test.gauge");
-  g.set(7);
-  g.add(-3);
+  reg.add<obs::metric::kSolveRequests>();
+  reg.add<obs::metric::kSolveRequests>(41);
+  reg.set<obs::metric::kNetInflight>(7);
+  reg.set<obs::metric::kNetInflight>(-3);  // a gauge holds the last value set
   const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("test.counter"), 42u);
-  EXPECT_EQ(snap.gauge_value("test.gauge"), 4);
-  // Unknown names read as zero / null, never throw.
+  EXPECT_EQ(snap.counter_value(obs::metric::kSolveRequests), 42u);
+  EXPECT_EQ(snap.gauge_value(obs::metric::kNetInflight), -3);
+  // The neighbouring catalog rows keep their own cells.
+  EXPECT_EQ(snap.counter_value(obs::metric::kSolveJobsDispatched), 0u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kSolveViewBuildsInline), 0u);
+  EXPECT_EQ(snap.counter_value(obs::metric::kNetFramesOut), 0u);
+  EXPECT_EQ(snap.gauge_value(obs::metric::kServiceTenantQueueDepth), 0);
+  // Unknown names, and names of another kind, read as zero / null.
   EXPECT_EQ(snap.counter_value("test.absent"), 0u);
+  EXPECT_EQ(snap.gauge_value("test.absent"), 0);
   EXPECT_EQ(snap.histogram("test.absent"), nullptr);
-}
-
-TEST(ObsMetrics, InertHandlesAreNoOps) {
-  const obs::Counter c;
-  const obs::Gauge g;
-  const obs::Histogram h;
-  c.inc();
-  g.set(5);
-  h.record(5);  // must not crash
+  EXPECT_EQ(snap.counter_value(obs::metric::kNetInflight), 0u);
+  EXPECT_EQ(snap.histogram(obs::metric::kSolveRequests), nullptr);
 }
 
 TEST(ObsMetrics, HistogramBucketsCountSumMax) {
   obs::MetricsRegistry reg;
-  const obs::Histogram h = reg.histogram("test.hist");
-  h.record(0);    // bucket 0: zero values
-  h.record(1);    // bucket 1: [1, 2)
-  h.record(1);
-  h.record(6);    // bucket 3: [4, 8)
-  h.record(300);  // bucket 9: [256, 512)
+  reg.record<obs::metric::kSolveComponentJobs>(0);    // bucket 0: zero values
+  reg.record<obs::metric::kSolveComponentJobs>(1);    // bucket 1: [1, 2)
+  reg.record<obs::metric::kSolveComponentJobs>(1);
+  reg.record<obs::metric::kSolveComponentJobs>(6);    // bucket 3: [4, 8)
+  reg.record<obs::metric::kSolveComponentJobs>(300);  // bucket 9: [256, 512)
   const obs::MetricsSnapshot snap = reg.snapshot();
-  const obs::HistogramSnapshot* hist = snap.histogram("test.hist");
+  const obs::HistogramSnapshot* hist =
+      snap.histogram(obs::metric::kSolveComponentJobs);
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count, 5u);
   EXPECT_EQ(hist->sum, 308u);
@@ -87,51 +87,119 @@ TEST(ObsMetrics, HistogramBucketsCountSumMax) {
   EXPECT_EQ(hist->buckets[1], 2u);
   EXPECT_EQ(hist->buckets[3], 1u);
   EXPECT_EQ(hist->buckets[9], 1u);
-  // Values past the last power-of-two boundary land in the overflow bucket.
-  h.record(~std::uint64_t{0});
-  EXPECT_EQ(reg.snapshot().histogram("test.hist")->buckets.back(), 1u);
+
+  // Both ends of every power-of-two bucket, then the overflow bucket: it
+  // takes everything from 2^(kHistogramBuckets - 2) up.
+  constexpr std::size_t kLast = obs::kHistogramBuckets - 1;
+  for (std::size_t i = 1; i < kLast; ++i) {
+    reg.record<obs::metric::kOnlineShardJobs>(std::uint64_t{1} << (i - 1));
+    reg.record<obs::metric::kOnlineShardJobs>((std::uint64_t{1} << i) - 1);
+  }
+  reg.record<obs::metric::kOnlineShardJobs>(std::uint64_t{1} << (kLast - 1));
+  reg.record<obs::metric::kOnlineShardJobs>(std::uint64_t{1} << 63);
+  reg.record<obs::metric::kOnlineShardJobs>(~std::uint64_t{0});
+  const obs::MetricsSnapshot edge_snap = reg.snapshot();
+  const obs::HistogramSnapshot* edges =
+      edge_snap.histogram(obs::metric::kOnlineShardJobs);
+  ASSERT_NE(edges, nullptr);
+  EXPECT_EQ(edges->buckets[0], 0u);
+  for (std::size_t i = 1; i < kLast; ++i)
+    EXPECT_EQ(edges->buckets[i], 2u) << "bucket " << i;
+  EXPECT_EQ(edges->buckets[kLast], 3u);
+  EXPECT_EQ(edges->max, ~std::uint64_t{0});
+  // The first histogram is untouched by the second one's writes.
+  EXPECT_EQ(edge_snap.histogram(obs::metric::kSolveComponentJobs)->count, 5u);
 }
 
 TEST(ObsMetrics, PreregistersBuiltinCatalogAtZero) {
+  // The catalog is sorted by name without duplicates, so a snapshot, which
+  // lists each kind's rows in catalog order, is in name order too.
+  for (std::size_t i = 1; i < std::size(obs::kMetricCatalog); ++i)
+    EXPECT_LT(std::string(obs::kMetricCatalog[i - 1].name),
+              obs::kMetricCatalog[i].name);
+
+  std::vector<std::string> counters, gauges, histograms;
+  for (const obs::MetricDef& def : obs::kMetricCatalog) {
+    switch (def.kind) {
+      case obs::MetricKind::kCounter: counters.push_back(def.name); break;
+      case obs::MetricKind::kGauge: gauges.push_back(def.name); break;
+      case obs::MetricKind::kHistogram: histograms.push_back(def.name); break;
+    }
+  }
+
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry().snapshot();
+  std::vector<std::string> snap_counters, snap_gauges, snap_histograms;
+  for (const auto& [name, value] : snap.counters) {
+    snap_counters.push_back(name);
+    EXPECT_EQ(value, 0u) << name;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    snap_gauges.push_back(name);
+    EXPECT_EQ(value, 0) << name;
+  }
+  for (const auto& [name, h] : snap.histograms) {
+    snap_histograms.push_back(name);
+    EXPECT_EQ(h.count, 0u) << name;
+    EXPECT_EQ(h.sum, 0u) << name;
+    EXPECT_EQ(h.max, 0u) << name;
+    EXPECT_EQ(h.buckets,
+              std::vector<std::uint64_t>(obs::kHistogramBuckets, 0))
+        << name;
+  }
+  EXPECT_EQ(snap_counters, counters);
+  EXPECT_EQ(snap_gauges, gauges);
+  EXPECT_EQ(snap_histograms, histograms);
+}
+
+/// Writes Row + 1 into catalog row Row's metric, through the write of the
+/// row's own kind.
+template <std::size_t Row>
+void write_row(obs::MetricsRegistry& reg) {
+  constexpr obs::MetricDef def = obs::kMetricCatalog[Row];
+  if constexpr (def.kind == obs::MetricKind::kCounter)
+    reg.add<def.name>(Row + 1);
+  else if constexpr (def.kind == obs::MetricKind::kGauge)
+    reg.set<def.name>(static_cast<std::int64_t>(Row + 1));
+  else
+    reg.record<def.name>(Row + 1);
+}
+
+template <std::size_t... Rows>
+void write_rows(obs::MetricsRegistry& reg, std::index_sequence<Rows...>) {
+  (write_row<Rows>(reg), ...);
+}
+
+// The compile-time lookup gives every catalog row a cell of its own.
+TEST(ObsMetrics, EveryCatalogRowHasItsOwnCell) {
   obs::MetricsRegistry reg;
+  write_rows(reg, std::make_index_sequence<std::size(obs::kMetricCatalog)>());
   const obs::MetricsSnapshot snap = reg.snapshot();
-  for (const obs::MetricDef& def : obs::builtin_metric_defs()) {
+  for (std::size_t row = 0; row < std::size(obs::kMetricCatalog); ++row) {
+    const obs::MetricDef& def = obs::kMetricCatalog[row];
     switch (def.kind) {
       case obs::MetricKind::kCounter:
-        EXPECT_EQ(snap.counter_value(def.name), 0u) << def.name;
+        EXPECT_EQ(snap.counter_value(def.name), row + 1) << def.name;
         break;
       case obs::MetricKind::kGauge:
-        EXPECT_EQ(snap.gauge_value(def.name), 0) << def.name;
+        EXPECT_EQ(snap.gauge_value(def.name),
+                  static_cast<std::int64_t>(row + 1))
+            << def.name;
         break;
       case obs::MetricKind::kHistogram: {
         const obs::HistogramSnapshot* h = snap.histogram(def.name);
         ASSERT_NE(h, nullptr) << def.name;
-        EXPECT_EQ(h->count, 0u) << def.name;
+        EXPECT_EQ(h->count, 1u) << def.name;
+        EXPECT_EQ(h->sum, row + 1) << def.name;
         break;
       }
     }
   }
-  // registered() mirrors the catalog exactly for a fresh registry.
-  const std::vector<obs::MetricDef> regd = reg.registered();
-  ASSERT_EQ(regd.size(), obs::builtin_metric_defs().size());
-  for (std::size_t i = 0; i < regd.size(); ++i) {
-    EXPECT_EQ(regd[i].name, obs::builtin_metric_defs()[i].name);
-    EXPECT_EQ(regd[i].kind, obs::builtin_metric_defs()[i].kind);
-  }
-}
-
-TEST(ObsMetrics, KindMismatchThrows) {
-  obs::MetricsRegistry reg;
-  reg.counter("test.once");
-  EXPECT_THROW(reg.gauge("test.once"), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("test.once"), std::invalid_argument);
-  EXPECT_THROW(reg.counter(obs::metric::kExecWorkers), std::invalid_argument);
 }
 
 TEST(ObsMetrics, SnapshotJsonIsMetricsV1) {
   obs::MetricsRegistry reg;
-  reg.counter(obs::metric::kSolveRequests).inc();
-  reg.histogram(obs::metric::kServiceRequestUs).record(123);
+  reg.add<obs::metric::kSolveRequests>();
+  reg.record<obs::metric::kServiceRequestUs>(123);
   const json::Value doc = reg.snapshot().to_json();
   EXPECT_EQ(doc.at("format").as_string(), "busytime-metrics-v1");
   EXPECT_EQ(doc.at("counters").at(obs::metric::kSolveRequests).as_int(), 1);
@@ -139,32 +207,69 @@ TEST(ObsMetrics, SnapshotJsonIsMetricsV1) {
   EXPECT_EQ(hist.at("count").as_int(), 1);
   EXPECT_EQ(hist.at("sum").as_int(), 123);
   EXPECT_EQ(hist.at("buckets").as_array().size(), obs::kHistogramBuckets);
+  EXPECT_EQ(doc.at("counters").as_object().size() +
+                doc.at("gauges").as_object().size() +
+                doc.at("histograms").as_object().size(),
+            std::size(obs::kMetricCatalog));
 }
 
 // The lock-free striped write path must lose no update: 8 writers hammer
 // one counter and one histogram, and the merged snapshot is exact.
 TEST(ObsMetrics, StressParallelWritesMergeExactly) {
   obs::MetricsRegistry reg;
-  const obs::Counter counter = reg.counter("test.stress_counter");
-  const obs::Histogram hist = reg.histogram("test.stress_hist");
   constexpr int kThreads = 8;
   constexpr int kOps = 20000;
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t)
     writers.emplace_back([&, t] {
       for (int i = 0; i < kOps; ++i) {
-        counter.inc();
-        hist.record(static_cast<std::uint64_t>(t));
+        reg.add<obs::metric::kSolveRequests>();
+        reg.record<obs::metric::kSolveComponentJobs>(
+            static_cast<std::uint64_t>(t));
       }
     });
   for (std::thread& w : writers) w.join();
   const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("test.stress_counter"),
+  EXPECT_EQ(snap.counter_value(obs::metric::kSolveRequests),
             static_cast<std::uint64_t>(kThreads) * kOps);
-  const obs::HistogramSnapshot* h = snap.histogram("test.stress_hist");
+  const obs::HistogramSnapshot* h =
+      snap.histogram(obs::metric::kSolveComponentJobs);
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, static_cast<std::uint64_t>(kThreads) * kOps);
   EXPECT_EQ(h->max, 7u);
+}
+
+// Metrics land only in the registry a request's context carries: a direct
+// call records nothing, and neither does the dispatcher that epoch_hybrid
+// runs on each batch without a context.
+TEST(ObsMetrics, WritesLandOnlyInARequestsRegistry) {
+  const Instance inst = test_trace(400);
+  Service service(ServiceConfig{2});
+  const std::string fresh = service.metrics().snapshot().to_json().dump();
+  solve_minbusy_auto(inst, 2);
+  replay_stream(inst, OnlinePolicy::kFirstFit, PolicyParams{},
+                /*threads=*/4, /*min_shard_jobs=*/1);
+  EXPECT_EQ(service.metrics().snapshot().to_json().dump(), fresh);
+
+  const InstanceHandle handle = service.load(inst);
+  const obs::MetricsSnapshot before = service.metrics().snapshot();
+  const SolveResult result =
+      service.submit(handle, SolverSpec::parse("epoch_hybrid")).get();
+  ASSERT_EQ(result.status, SolveStatus::kOk);
+  // epoch_hybrid places every arrival from a batch dispatch.
+  EXPECT_EQ(result.stats.jobs_assigned, static_cast<std::int64_t>(inst.size()));
+  const obs::MetricsSnapshot after = service.metrics().snapshot();
+  const auto moved = [&](const char* name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+  EXPECT_EQ(moved(obs::metric::kSolveRequests), 1u);
+  EXPECT_EQ(moved(obs::metric::kOnlineReplays), 1u);
+  EXPECT_EQ(moved(obs::metric::kOnlineJobsReplayed), inst.size());
+  EXPECT_EQ(moved(obs::metric::kSolveDispatchRuns), 0u);
+  EXPECT_EQ(moved(obs::metric::kSolveComponentsSolved), 0u);
+  EXPECT_EQ(moved(obs::metric::kSolveJobsDispatched), 0u);
+  EXPECT_EQ(moved(obs::metric::kSolveViewBuildsInline), 0u);
+  EXPECT_EQ(after.histogram(obs::metric::kSolveComponentJobs)->count, 0u);
 }
 
 // ------------------------------------------------------------ trace spans ---
