@@ -1,8 +1,7 @@
 #include "core/validate.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -40,60 +39,47 @@ bool is_valid(const Instance& inst, const Schedule& s) {
 namespace {
 
 /// Union length of intervals fed in non-decreasing start order (touching
-/// pieces merge, as in union_intervals).
-class SortedUnion {
- public:
-  explicit SortedUnion(const Interval& first)
-      : lo_(first.start), hi_(first.completion) {}
+/// pieces merge, as in union_intervals).  Before the first interval the
+/// open piece is the empty [lowest, lowest), which the first one closes
+/// with length 0.
+struct SortedUnion {
+  Time lo = std::numeric_limits<Time>::lowest();
+  Time hi = std::numeric_limits<Time>::lowest();
+  Time closed = 0;  ///< length of the pieces before [lo, hi)
 
-  void add(const Interval& iv) {
-    if (iv.start > hi_) {
-      total_ += hi_ - lo_;
-      lo_ = iv.start;
-      hi_ = iv.completion;
-    } else if (iv.completion > hi_) {
-      hi_ = iv.completion;
+  void add(Time start, Time completion) {
+    if (start > hi) {
+      closed += hi - lo;
+      lo = start;
+      hi = completion;
+    } else if (completion > hi) {
+      hi = completion;
     }
   }
 
-  Time length() const noexcept { return total_ + (hi_ - lo_); }
-
- private:
-  Time lo_;
-  Time hi_;
-  Time total_ = 0;
+  Time length() const noexcept { return closed + (hi - lo); }
 };
 
-/// True iff no time point lies in more than g of the start-sorted
-/// intervals [first, last).  `heap` (reused across machines) is a min-heap
-/// of at most g completion times covering every earlier job that may still
-/// run.  Once it holds g, a new job either replaces the earliest completion,
-/// which has ended by its start, or finds all g still running: a violation.
-/// The replace is one hand-written sift-down (std::pop_heap + push_heap
-/// would sift twice), so a job costs O(log g).
-bool within_capacity(const Interval* first, const Interval* last, int g,
-                     std::vector<Time>& heap) {
-  heap.clear();
-  const auto cap = static_cast<std::size_t>(g);
-  for (const Interval* iv = first; iv != last; ++iv) {
-    const Time c = iv->completion;
-    if (heap.size() < cap) {
-      heap.push_back(c);
-      std::push_heap(heap.begin(), heap.end(), std::greater<Time>());
-      continue;
-    }
-    if (heap.front() > iv->start) return false;
-    std::size_t hole = 0;
-    for (;;) {
-      std::size_t child = 2 * hole + 1;
-      if (child >= cap) break;
-      if (child + 1 < cap && heap[child + 1] < heap[child]) ++child;
-      if (heap[child] >= c) break;
-      heap[hole] = heap[child];
-      hole = child;
-    }
-    heap[hole] = c;
-  }
+/// One machine in the sweep: its busy union so far and, when it holds more
+/// than g jobs, g completion slots.  Once full, the slots hold every job
+/// seen so far on the machine that still runs at the current start; a job
+/// left out has ended by then, and so by every later start.
+struct MachineSweep {
+  SortedUnion busy;
+  std::size_t jobs = 0;  ///< jobs on the machine, counted before the sweep
+  Time* top = nullptr;   ///< its g arena slots; null when jobs <= g
+  int filled = 0;        ///< slots of top in use
+};
+
+/// A job [start, completion) joins a machine whose g slots are full: one
+/// of them must have ended by `start`, and the job takes its place.  False
+/// when all g still run, so the job is a (g + 1)-th concurrent one.  The
+/// scan is branch-free, O(g) per job.
+bool replace_ended_slot(Time* top, int g, Time start, Time completion) {
+  int at = g;
+  for (int i = 0; i < g; ++i) at = top[i] <= start ? i : at;
+  if (at == g) return false;
+  top[at] = completion;
   return true;
 }
 
@@ -106,50 +92,56 @@ ScheduleMeasure measure_schedule(const Instance& inst, const Schedule& s) {
                                 std::to_string(inst.size()) + " jobs");
   const std::vector<Job>& jobs = inst.jobs();
   const std::vector<MachineId>& machine_of = s.assignment();
-  const std::vector<JobId>& order = inst.ids_by_start();
+  const int g = inst.g();
+  const auto cap = static_cast<std::size_t>(g);
 
   ScheduleMeasure out;
-  out.bounds.g = inst.g();
+  out.bounds.g = g;
 
-  // Counting sort by machine: bucket m is [offset[m], offset[m + 1]).
-  const auto machines = static_cast<std::size_t>(s.machine_count());
-  std::vector<std::size_t> offset(machines + 1, 0);
+  // Count each machine's jobs, then give g arena slots to each machine
+  // holding more than g: only there can g + 1 jobs run at once.
+  std::vector<MachineSweep> machines(static_cast<std::size_t>(s.machine_count()));
   for (const MachineId m : machine_of)
-    if (m != Schedule::kUnscheduled) ++offset[static_cast<std::size_t>(m) + 1];
-  for (std::size_t m = 0; m < machines; ++m) offset[m + 1] += offset[m];
-  out.throughput = static_cast<std::int64_t>(offset[machines]);
+    if (m != Schedule::kUnscheduled) ++machines[static_cast<std::size_t>(m)].jobs;
+  std::size_t slots = 0;
+  for (const MachineSweep& machine : machines) {
+    out.throughput += static_cast<std::int64_t>(machine.jobs);
+    if (machine.jobs > cap) slots += cap;
+  }
+  std::vector<Time> arena(slots);
+  Time* next = arena.data();
+  for (MachineSweep& machine : machines) {
+    if (machine.jobs <= cap) continue;
+    machine.top = next;
+    next += g;
+  }
 
   // One sweep in start order: the instance's length and span, and each
-  // scheduled job dropped into its machine's bucket, which so comes out
-  // start-sorted.
-  std::vector<Interval> placed(offset[machines]);
-  std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
-  if (!order.empty()) {
-    SortedUnion span(jobs[static_cast<std::size_t>(order.front())].interval);
-    for (const JobId id : order) {
-      const auto j = static_cast<std::size_t>(id);
-      const Interval& iv = jobs[j].interval;
-      out.bounds.length += iv.length();
-      span.add(iv);
-      const MachineId m = machine_of[j];
-      if (m != Schedule::kUnscheduled)
-        placed[cursor[static_cast<std::size_t>(m)]++] = iv;
-    }
-    out.bounds.span = span.length();
+  // scheduled job's machine union and capacity check.
+  SortedUnion span;
+  Time length = 0;
+  bool valid = true;
+  for (const JobId id : inst.ids_by_start()) {
+    const auto j = static_cast<std::size_t>(id);
+    const Time start = jobs[j].start();
+    const Time completion = jobs[j].completion();
+    length += completion - start;
+    span.add(start, completion);
+    const MachineId m = machine_of[j];
+    if (m == Schedule::kUnscheduled) continue;
+    MachineSweep& machine = machines[static_cast<std::size_t>(m)];
+    machine.busy.add(start, completion);
+    if (machine.top == nullptr || !valid) continue;
+    if (machine.filled < g)
+      machine.top[machine.filled++] = completion;
+    else
+      valid = replace_ended_slot(machine.top, g, start, completion);
   }
-  out.bounds.parallelism_num = out.bounds.length;
-
-  out.valid = true;
-  std::vector<Time> heap;
-  for (std::size_t m = 0; m < machines; ++m) {
-    const Interval* first = placed.data() + offset[m];
-    const Interval* last = placed.data() + offset[m + 1];
-    if (first == last) continue;
-    SortedUnion busy(*first);
-    for (const Interval* iv = first + 1; iv != last; ++iv) busy.add(*iv);
-    out.cost += busy.length();
-    if (out.valid) out.valid = within_capacity(first, last, inst.g(), heap);
-  }
+  out.valid = valid;
+  out.bounds.length = length;
+  out.bounds.span = span.length();
+  out.bounds.parallelism_num = length;
+  for (const MachineSweep& machine : machines) out.cost += machine.busy.length();
   return out;
 }
 

@@ -208,6 +208,11 @@ Schedule read_schedule(std::istream& is, std::size_t expected_jobs) {
       if (job < 0 || static_cast<std::size_t>(job) >= expected_jobs)
         throw ParseError(reader.line(), "job id out of range");
       if (machine < 0) throw ParseError(reader.line(), "machine id must be >= 0");
+      // Range-check before narrowing to MachineId (int32): an oversized id
+      // must fail the load, not wrap to a negative id or to kUnscheduled.
+      if (machine > std::numeric_limits<MachineId>::max())
+        throw ParseError(reader.line(), "machine id " + std::to_string(machine) +
+                                            " overflows the machine-id type");
       s.assign(static_cast<JobId>(job), static_cast<MachineId>(machine));
     } else {
       throw ParseError(reader.line(), "unknown keyword '" + keyword + "'");

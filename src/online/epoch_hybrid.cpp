@@ -1,5 +1,6 @@
 #include "online/epoch_hybrid.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -23,11 +24,16 @@ void EpochHybrid::flush() {
 }
 
 bool EpochHybrid::handle_cancel(JobId id, const Job& job, Time at, bool preempt) {
-  for (ArrivalEvent& ev : pending_) {
-    if (ev.id != id) continue;
+  // pending_ is in arrival order, so its starts never decrease: only the
+  // run of pending jobs sharing job's start can hold it.
+  auto it = std::lower_bound(
+      pending_.begin(), pending_.end(), job.start(),
+      [](const ArrivalEvent& ev, Time start) { return ev.job.start() < start; });
+  for (; it != pending_.end() && it->job.start() == job.start(); ++it) {
+    if (it->id != id) continue;
     // The batch instance must keep positive lengths; the base class already
     // rejected at <= start, so the truncated run [start, at) is non-empty.
-    ev.job.interval.completion = at;
+    it->job.interval.completion = at;
     pool_.note_pending_cancel(preempt);
     return true;
   }

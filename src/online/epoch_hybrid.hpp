@@ -39,13 +39,17 @@ class EpochHybrid final : public OnlineScheduler {
   /// Retractions of jobs still pending in the batch truncate the pending
   /// copy before it is ever placed (no busy time was charged, so nothing is
   /// refunded); jobs already materialized fall through to the pool path.
+  /// The pending copy is found by binary search for job.start() and a scan
+  /// of that run of equal starts, so `job` must be the job as it arrived.
   bool handle_cancel(JobId id, const Job& job, Time at, bool preempt) override;
 
  private:
   void flush_batch();
 
   PolicyParams params_;
-  /// Pending arrivals of the current epoch, in arrival (= start) order.
+  /// Pending arrivals of the current epoch, in arrival order, so in
+  /// non-decreasing start order (on_arrival enforces it); a retraction
+  /// only ever shortens a pending job's completion.
   std::vector<ArrivalEvent> pending_;
   Time epoch_start_ = 0;
 };

@@ -54,6 +54,8 @@ class OnlineScheduler {
   /// Feeds a cancellation (preempt = false) or preemption (preempt = true):
   /// job `id` — which previously arrived as `job` — stops at `at`, its
   /// remaining run is retracted, and the uncovered busy tail is refunded.
+  /// `job` must be the job exactly as it arrived: the epoch hybrid finds a
+  /// pending job by its start, and every policy reads its completion.
   /// Events outside the job's run (at <= start, at >= completion, or a
   /// second retraction) are counted as ignored.  `at` must be monotone with
   /// the other events.

@@ -5,6 +5,8 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "algo/dispatch.hpp"
 #include "api/registry.hpp"
@@ -12,6 +14,7 @@
 #include "io/serialize.hpp"
 #include "online/epoch_hybrid.hpp"
 #include "online/stream_driver.hpp"
+#include "util/fnv.hpp"
 #include "workload/cancellable.hpp"
 
 namespace busytime {
@@ -196,6 +199,139 @@ TEST(EpochHybridCancel, PendingJobsAreTruncatedBeforePlacement) {
   const Instance residual({Job(0, 30), Job(10, 50)}, 2);
   EXPECT_EQ(hybrid.stats().online_cost, hybrid.schedule().cost(residual));
   EXPECT_TRUE(is_valid(residual, hybrid.schedule()));
+}
+
+// Retractions of pending jobs find them by start: a run of equal starts
+// holds several candidates, and each cancel must truncate its own job.
+// At g = 1 every job gets its own machine, so the cost is the residual's
+// total length, and truncating a wrong job of the run would change it.
+TEST(EpochHybridCancel, PendingRunOfEqualStartsTruncatesTheNamedJob) {
+  PolicyParams params;
+  params.epoch_length = 1 << 20;
+  EpochHybrid hybrid(1, params);
+  std::vector<Job> arrived = {Job(0, 50)};
+  for (Time k = 0; k < 5; ++k) arrived.push_back(Job(10, 40 + k));  // ids 1..5
+  arrived.push_back(Job(20, 60));
+  for (std::size_t j = 0; j < arrived.size(); ++j)
+    hybrid.on_arrival(static_cast<JobId>(j), arrived[j]);
+  // The first, a middle and the last job of the run starting at 10.
+  hybrid.on_cancel(1, arrived[1], 25, false);
+  hybrid.on_cancel(3, arrived[3], 26, true);
+  hybrid.on_cancel(5, arrived[5], 27, false);
+  hybrid.flush();
+  EXPECT_EQ(hybrid.stats().jobs_cancelled, 2);
+  EXPECT_EQ(hybrid.stats().jobs_preempted, 1);
+  EXPECT_EQ(hybrid.stats().cancels_ignored, 0);
+  EXPECT_EQ(hybrid.stats().busy_time_refunded, 0);  // none was placed yet
+  std::vector<Job> residual_jobs = arrived;
+  residual_jobs[1].interval.completion = 25;
+  residual_jobs[3].interval.completion = 26;
+  residual_jobs[5].interval.completion = 27;
+  const Instance residual(std::move(residual_jobs), 1);
+  EXPECT_EQ(hybrid.stats().online_cost, residual.total_length());
+  EXPECT_EQ(hybrid.schedule().cost(residual), residual.total_length());
+  EXPECT_TRUE(is_valid(residual, hybrid.schedule()));
+}
+
+TEST(EpochHybridCancel, FlushedJobsTakeThePoolPathAndRefundTheirTail) {
+  PolicyParams params;
+  params.epoch_length = 10;
+  EpochHybrid hybrid(2, params);
+  hybrid.on_arrival(0, Job(0, 100));
+  hybrid.on_arrival(1, Job(50, 70));  // 50 past the epoch start: flushes job 0
+  EXPECT_TRUE(hybrid.schedule().is_scheduled(0));
+  EXPECT_FALSE(hybrid.schedule().is_scheduled(1));
+  hybrid.on_cancel(0, Job(0, 100), 60, false);
+  EXPECT_EQ(hybrid.stats().jobs_cancelled, 1);
+  EXPECT_EQ(hybrid.stats().busy_time_refunded, 40);  // [60, 100), uncovered
+  hybrid.flush();
+  const Instance residual({Job(0, 60), Job(50, 70)}, 2);
+  EXPECT_EQ(hybrid.stats().online_cost, hybrid.schedule().cost(residual));
+  EXPECT_TRUE(is_valid(residual, hybrid.schedule()));
+}
+
+TEST(EpochHybridCancel, IgnoresSecondAndNeverArrivedRetractions) {
+  PolicyParams params;
+  params.epoch_length = 1 << 20;
+  EpochHybrid hybrid(2, params);
+  hybrid.on_arrival(0, Job(0, 100));
+  hybrid.on_arrival(1, Job(10, 50));
+  hybrid.on_cancel(0, Job(0, 100), 30, false);
+  hybrid.on_cancel(0, Job(0, 100), 40, false);  // second retraction
+  EXPECT_EQ(hybrid.stats().jobs_cancelled, 1);
+  EXPECT_EQ(hybrid.stats().cancels_ignored, 1);
+  // Job 2 never arrived, though job 1 pends with the same start.
+  hybrid.on_cancel(2, Job(10, 50), 45, false);
+  EXPECT_EQ(hybrid.stats().cancels_ignored, 2);
+  hybrid.flush();
+  EXPECT_EQ(hybrid.stats().jobs_cancelled, 1);
+  EXPECT_FALSE(hybrid.schedule().is_scheduled(2));
+  const Instance residual({Job(0, 30), Job(10, 50), Job(10, 50)}, 2);
+  EXPECT_EQ(hybrid.stats().online_cost, hybrid.schedule().cost(residual));
+}
+
+// The epoch hybrid's replay of 5,000-job cancellable traces, pinned: its
+// EngineStats (in EngineStats::fields order) and an FNV-1a hash of its
+// assignment, each machine id as four little-endian bytes.  Epochs of 16,
+// 64 and 1024 flush batches of ~8, ~32 and ~500 jobs, so retractions hit
+// placed and pending jobs alike.
+TEST(CancelReplay, EpochHybridMatchesPinnedResults) {
+  struct Pin {
+    std::uint64_t seed;
+    Time epoch;
+    int g;
+    std::vector<std::int64_t> stats;
+    std::uint64_t assignment_hash;
+  };
+  const Pin pins[] = {
+    {1, 16, 1, {5000, 3455, 3444, 11, 19, 10, 15, 766, 244, 0, 3436, 3085, 9794, 70474}, 0x219b64daba202a1bull},
+    {1, 16, 4, {5000, 1161, 1155, 6, 9, 10, 15, 766, 244, 0, 1152, 1987, 9794, 39016}, 0x851b1b57973d0fc4ull},
+    {1, 16, 8, {5000, 749, 744, 5, 9, 10, 15, 766, 244, 0, 740, 1942, 9794, 34190}, 0x54b98aaa029e39b8ull},
+    {1, 64, 1, {5000, 1590, 1575, 15, 26, 10, 12, 766, 244, 0, 1564, 1664, 9794, 70474}, 0x39aef755075f3aa6ull},
+    {1, 64, 4, {5000, 491, 485, 6, 9, 10, 12, 766, 244, 0, 482, 781, 9794, 30548}, 0x60dbda7e25c00624ull},
+    {1, 64, 8, {5000, 313, 309, 4, 8, 10, 12, 766, 244, 0, 305, 752, 9794, 22861}, 0x91b8699f5acf5f24ull},
+    {1, 1024, 1, {5000, 240, 222, 18, 48, 10, 10, 766, 244, 0, 192, 234, 9794, 70474}, 0xc9fd55639e2ed77eull},
+    {1, 1024, 4, {5000, 68, 63, 5, 14, 10, 10, 766, 244, 0, 54, 2, 9794, 24410}, 0x16877444635cb02full},
+    {1, 1024, 8, {5000, 39, 36, 3, 8, 10, 10, 766, 244, 0, 31, 0, 9794, 15038}, 0x4b7bf4fc43e1dcf9ull},
+    {7, 16, 1, {5000, 3416, 3413, 3, 17, 0, 14, 700, 250, 0, 3399, 3564, 10105, 73294}, 0x8c33993d52d14149ull},
+    {7, 16, 4, {5000, 1152, 1150, 2, 9, 0, 14, 700, 250, 0, 1143, 2592, 10105, 42385}, 0x65e89d0dba307ff9ull},
+    {7, 16, 8, {5000, 745, 743, 2, 9, 0, 14, 700, 250, 0, 736, 2528, 10105, 37868}, 0x3d75205193c727e7ull},
+    {7, 64, 1, {5000, 1574, 1567, 7, 22, 0, 13, 700, 250, 0, 1552, 2186, 10105, 73294}, 0x9420e7042f4f054cull},
+    {7, 64, 4, {5000, 464, 462, 2, 7, 0, 13, 700, 250, 0, 457, 1216, 10105, 32868}, 0x7276e87d55aafc2dull},
+    {7, 64, 8, {5000, 293, 292, 1, 6, 0, 13, 700, 250, 0, 287, 1121, 10105, 25305}, 0xc9f17f07c933e8b0ull},
+    {7, 1024, 1, {5000, 212, 185, 27, 39, 0, 10, 700, 250, 0, 173, 55, 10105, 73294}, 0xd03cc0bd0d7990c1ull},
+    {7, 1024, 4, {5000, 61, 53, 8, 12, 0, 10, 700, 250, 0, 49, 44, 10105, 24958}, 0xe28a4428993178adull},
+    {7, 1024, 8, {5000, 35, 30, 5, 7, 0, 10, 700, 250, 0, 28, 3, 10105, 15162}, 0x29d4ced8b7ff364full},
+    {42, 16, 1, {5000, 3449, 3437, 12, 17, 8, 15, 757, 262, 0, 3432, 3005, 9809, 69373}, 0x4fe9916845729ebeull},
+    {42, 16, 4, {5000, 1156, 1150, 6, 9, 8, 15, 757, 262, 0, 1147, 2019, 9809, 38651}, 0x754f6a480d3caefcull},
+    {42, 16, 8, {5000, 753, 747, 6, 8, 8, 15, 757, 262, 0, 745, 1984, 9809, 33889}, 0xa37d7bfb84f58b5cull},
+    {42, 64, 1, {5000, 1559, 1548, 11, 20, 8, 14, 757, 262, 0, 1539, 1570, 9809, 69373}, 0x726522f0f70332ceull},
+    {42, 64, 4, {5000, 468, 464, 4, 7, 8, 14, 757, 262, 0, 461, 1044, 9809, 30226}, 0x16c9c80a38647d5bull},
+    {42, 64, 8, {5000, 295, 292, 3, 6, 8, 14, 757, 262, 0, 289, 998, 9809, 22656}, 0x7569d0f6e283f306ull},
+    {42, 1024, 1, {5000, 231, 216, 15, 46, 8, 9, 757, 262, 0, 185, 85, 9809, 69373}, 0x0eb3a62a5e9290d6ull},
+    {42, 1024, 4, {5000, 66, 62, 4, 13, 8, 9, 757, 262, 0, 53, 12, 9809, 23715}, 0xef6c2cbaf7c82443ull},
+    {42, 1024, 8, {5000, 37, 35, 2, 8, 8, 9, 757, 262, 0, 29, 10, 9809, 14427}, 0x18c9a504013d0362ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::string context = "seed=" + std::to_string(pin.seed) +
+                                " epoch=" + std::to_string(pin.epoch) +
+                                " g=" + std::to_string(pin.g);
+    PolicyParams params;
+    params.epoch_length = pin.epoch;
+    const ReplayResult r =
+        replay_stream(cancellable_trace(pin.seed, 5000, pin.g, 0.2),
+                      OnlinePolicy::kEpochHybrid, params);
+    std::vector<std::int64_t> stats;
+    EngineStats::fields([&](const char*, auto member) {
+      stats.push_back(static_cast<std::int64_t>(r.stats.*member));
+    });
+    EXPECT_EQ(stats, pin.stats) << context;
+    std::string bytes;
+    for (const MachineId m : r.schedule.assignment())
+      for (int b = 0; b < 4; ++b)
+        bytes.push_back(static_cast<char>((static_cast<std::uint32_t>(m) >> (8 * b)) & 0xff));
+    EXPECT_EQ(util::fnv1a_64(bytes), pin.assignment_hash) << context;
+  }
 }
 
 // ------------------------------------------- residual-instance equivalence

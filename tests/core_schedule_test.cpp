@@ -292,5 +292,100 @@ TEST(MeasureSchedule, MatchesOraclesOnAdversarialSchedules) {
   EXPECT_THROW(measure_schedule(one, Schedule(2)), std::invalid_argument);
 }
 
+// The values of g the sweep's capacity check is tested at: small ones, both
+// sides of powers of two (the length of the slot scan), and the largest the
+// FirstFit count grid takes (255) and one past it.
+constexpr int kCheckedG[] = {1, 2, 7, 8, 9, 16, 17, 64, 65, 255, 256};
+
+// On traces dense enough that machines hold many more than g jobs, valid
+// FirstFit schedules and crowded, sparse-id and partial variants of them
+// measure exactly as the oracles do, at every checked g.
+TEST(MeasureSchedule, MatchesOraclesAtEveryCheckedG) {
+  for (const int g : kCheckedG) {
+    TraceParams t;
+    t.n = 12 * g + 60;
+    t.g = g;
+    t.arrival_rate = 0.15 * g;  // about 2g jobs run at once
+    t.seed = static_cast<std::uint64_t>(g);
+    const Instance inst = gen_trace(t);
+    SolverSpec spec;
+    spec.name = "first_fit";
+    const Schedule ff =
+        SolverRegistry::instance().at("first_fit").run(inst, spec).schedule;
+    const std::string label = "g=" + std::to_string(g) + " ";
+    ASSERT_TRUE(is_valid(inst, ff)) << label;
+    expect_measure_matches_oracles(inst, ff, label + "first_fit");
+
+    // Every job on one machine runs about 2g at once.
+    const Schedule one_machine(std::vector<MachineId>(inst.size(), 0));
+    EXPECT_FALSE(is_valid(inst, one_machine)) << label;
+    expect_measure_matches_oracles(inst, one_machine, label + "one machine");
+
+    // Every k-th job moved onto machine 0, for a crowding that ranges from
+    // a few extra jobs to many.
+    for (const int k : {2, 5, 17}) {
+      Schedule crowded = ff;
+      for (std::size_t j = 0; j < crowded.size(); j += static_cast<std::size_t>(k))
+        crowded.assign(static_cast<JobId>(j), 0);
+      expect_measure_matches_oracles(inst, crowded,
+                                     label + "crowded k=" + std::to_string(k));
+    }
+
+    // Sparse machine ids with unscheduled jobs between them: most ids name
+    // no job, and every seventh job is left out.
+    Schedule sparse = ff;
+    for (std::size_t j = 0; j < sparse.size(); ++j) {
+      const auto id = static_cast<JobId>(j);
+      sparse.assign(id, j % 7 == 3 ? Schedule::kUnscheduled
+                                   : 37 * sparse.machine_of(id) + 11);
+    }
+    ASSERT_TRUE(is_valid(inst, sparse)) << label;
+    expect_measure_matches_oracles(inst, sparse, label + "sparse, partial");
+    for (std::size_t j = 0; j < sparse.size(); j += 3)
+      if (sparse.is_scheduled(static_cast<JobId>(j))) sparse.assign(static_cast<JobId>(j), 11);
+    expect_measure_matches_oracles(inst, sparse, label + "sparse, crowded");
+  }
+}
+
+// One machine's start-ordered bucket of g or g + 1 jobs: jobs i = 0..K-1
+// start at i and run to far past K, except job p, which completes at
+// K - 1 + d.  With K = g + 1 all K overlap at the last start K - 1 iff
+// d = 1 or p is that last job, so the job that decides validity sits at
+// each position p of the bucket in turn; with K = g the machine is valid
+// whatever p and d are.  Job ids run backwards in time (ids_by_start is
+// no identity), and a second machine plus an unscheduled job keep the
+// sweep's other paths busy.
+TEST(MeasureSchedule, FindsAViolationAtEveryPositionOfABucket) {
+  for (const int g : kCheckedG) {
+    for (const int bucket : {g, g + 1}) {
+      for (int p = 0; p < bucket; ++p) {
+        for (const Time d : {0, 1}) {
+          if (p == bucket - 1 && d == 0) continue;  // would be empty
+          const Time far = 10 * (bucket + 1);
+          std::vector<Job> jobs;
+          std::vector<MachineId> machine_of;
+          for (int i = bucket - 1; i >= 0; --i) {
+            jobs.push_back(Job(i, i == p ? bucket - 1 + d : far));
+            machine_of.push_back(7);
+          }
+          jobs.push_back(Job(0, far));  // alone on machine 2
+          machine_of.push_back(2);
+          jobs.push_back(Job(1, 2));  // left out
+          machine_of.push_back(Schedule::kUnscheduled);
+          const Instance inst(std::move(jobs), g);
+          const Schedule s(std::move(machine_of));
+          const bool expect_valid = bucket == g || (d == 0 && p != bucket - 1);
+          const std::string label = "g=" + std::to_string(g) +
+                                    " bucket=" + std::to_string(bucket) +
+                                    " p=" + std::to_string(p) +
+                                    " d=" + std::to_string(d);
+          ASSERT_EQ(is_valid(inst, s), expect_valid) << label;
+          expect_measure_matches_oracles(inst, s, label);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace busytime

@@ -125,6 +125,23 @@ TEST(Serialize, ScheduleRecordsMustConsumeTheirLine) {
   EXPECT_EQ(read_schedule(good, 2).machine_of(0), 1);
 }
 
+// A machine id past MachineId's range must fail on its own line, not wrap:
+// 2^31 would become INT32_MIN and 2^32 - 1 would become kUnscheduled.
+TEST(Serialize, ScheduleRejectsMachineIdsPastTheIdType) {
+  for (const std::string& id : {std::string("2147483648"), std::string("4294967295")}) {
+    std::stringstream in("busytime-schedule v1\nn 2\nassign 1 0\nassign 0 " + id + "\n");
+    try {
+      read_schedule(in, 2);
+      FAIL() << "expected ParseError for machine " << id;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 4) << id;
+      EXPECT_NE(std::string(e.what()).find(id), std::string::npos) << e.what();
+    }
+  }
+  std::stringstream largest("busytime-schedule v1\nn 1\nassign 0 2147483647\n");
+  EXPECT_EQ(read_schedule(largest, 1).machine_of(0), 2147483647);
+}
+
 TEST(Serialize, TrailingInputErrorNamesTheLine) {
   std::stringstream in("busytime-instance v1\ng 2\njob 0 10\njob 0 10 1 1 1\n");
   try {
