@@ -177,6 +177,11 @@ def main():
     # must check every record, the last included.
     write("regressions/last_job_zero_length.bin",
           instance(8, [job(i, i + 3) for i in range(999)] + [job(5, 5)]))
+    # A schedule naming machine 100,000,000 for one of 8 jobs: the machine
+    # count sized per-machine arrays (an out-of-memory abort in `check`)
+    # before read_schedule bounded ids by the job count.
+    write("regressions/schedule_machine_id_past_job_count.txt",
+          b"busytime-schedule v1\nn 8\nassign 0 100000000\n")
 
 
 if __name__ == "__main__":

@@ -208,11 +208,19 @@ Schedule read_schedule(std::istream& is, std::size_t expected_jobs) {
       if (job < 0 || static_cast<std::size_t>(job) >= expected_jobs)
         throw ParseError(reader.line(), "job id out of range");
       if (machine < 0) throw ParseError(reader.line(), "machine id must be >= 0");
-      // Range-check before narrowing to MachineId (int32): an oversized id
-      // must fail the load, not wrap to a negative id or to kUnscheduled.
-      if (machine > std::numeric_limits<MachineId>::max())
-        throw ParseError(reader.line(), "machine id " + std::to_string(machine) +
-                                            " overflows the machine-id type");
+      // A schedule of n jobs never needs a machine id >= n, and the
+      // per-machine passes (jobs_per_machine, measure_schedule) size their
+      // state by the largest id: bound it by the job count, before
+      // narrowing to MachineId (int32) so an oversized id cannot wrap to a
+      // negative id or to kUnscheduled.
+      if (static_cast<unsigned long long>(machine) >= expected_jobs ||
+          machine > std::numeric_limits<MachineId>::max())
+        throw ParseError(reader.line(),
+                         "machine id " + std::to_string(machine) +
+                             " out of range: a schedule of " +
+                             std::to_string(expected_jobs) +
+                             " jobs uses machine ids below " +
+                             std::to_string(expected_jobs));
       s.assign(static_cast<JobId>(job), static_cast<MachineId>(machine));
     } else {
       throw ParseError(reader.line(), "unknown keyword '" + keyword + "'");

@@ -37,7 +37,7 @@ bool EpochHybrid::handle_cancel(JobId id, const Job& job, Time at, bool preempt)
     pool_.note_pending_cancel(preempt);
     return true;
   }
-  return OnlineScheduler::handle_cancel(id, job, at, preempt);
+  return truncate_placed(id, job, preempt);
 }
 
 void EpochHybrid::flush_batch() {
@@ -58,14 +58,13 @@ void EpochHybrid::flush_batch() {
   // the batch in start order so the pool's incremental busy accounting sees
   // monotone placements.  Pinning keeps a group's machine open across the
   // idle gaps an offline group may contain.
-  std::vector<MachineId> group_machine(
-      static_cast<std::size_t>(offline.schedule.machine_count()),
-      Schedule::kUnscheduled);
+  std::vector<OpenMachine> group_machine(
+      static_cast<std::size_t>(offline.schedule.machine_count()));
   for (std::size_t k = 0; k < pending_.size(); ++k) {
     const MachineId local = offline.schedule.machine_of(static_cast<JobId>(k));
     assert(local != Schedule::kUnscheduled);  // MinBusy schedules are full
-    auto& target = group_machine[static_cast<std::size_t>(local)];
-    if (target == Schedule::kUnscheduled) target = pool_.open_machine(/*pinned=*/true);
+    OpenMachine& target = group_machine[static_cast<std::size_t>(local)];
+    if (target.id == Schedule::kUnscheduled) target = pool_.open_machine(/*pinned=*/true);
     commit(pending_[k].id, target, pending_[k].job);
   }
   pool_.unpin_all();

@@ -23,27 +23,28 @@
 
 namespace busytime {
 
-class EpochHybrid final : public OnlineScheduler {
+class EpochHybrid final : public PolicyScheduler<EpochHybrid> {
  public:
   EpochHybrid(int g, const PolicyParams& params)
-      : OnlineScheduler(g), params_(params) {}
+      : PolicyScheduler(g), params_(params) {}
 
   std::string name() const override { return to_string(OnlinePolicy::kEpochHybrid); }
 
   /// Re-optimizes and places the still-pending batch (end of stream).
   void flush() override;
 
- protected:
-  void handle(JobId id, const Job& job) override;
+ private:
+  friend class PolicyScheduler<EpochHybrid>;
+
+  void handle(JobId id, const Job& job);
 
   /// Retractions of jobs still pending in the batch truncate the pending
   /// copy before it is ever placed (no busy time was charged, so nothing is
   /// refunded); jobs already materialized fall through to the pool path.
   /// The pending copy is found by binary search for job.start() and a scan
   /// of that run of equal starts, so `job` must be the job as it arrived.
-  bool handle_cancel(JobId id, const Job& job, Time at, bool preempt) override;
+  bool handle_cancel(JobId id, const Job& job, Time at, bool preempt);
 
- private:
   void flush_batch();
 
   PolicyParams params_;

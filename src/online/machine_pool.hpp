@@ -16,17 +16,24 @@
 //    that disconnected busy periods split into separate machines), so the
 //    scan set stays proportional to the *current* load, not the history.
 //
+// Each open machine keeps the completions of its running jobs as an
+// unsorted run of at most g values plus its cached least element: place
+// appends, a retirement compacts the run in one branch-free pass when the
+// cached least completion is due, and truncate swap-removes one value.
+//
 // Cancellations run the accounting in reverse: truncate(m, c, ...) removes
 // one running job and refunds the part of the machine's busy tail no longer
-// covered by any remaining job — an O(g) incremental update, never a
-// from-scratch union recomputation.
+// covered by any remaining job — one O(g) pass over the run that finds the
+// new least and greatest completions, never a from-scratch union
+// recomputation.
 //
 // Machine ids are *stable* (dense, in opening order, never reused) but live
 // behind a slot indirection: closed machines return their storage slot to a
 // free list and the next open_machine() recycles it, so a long-lived stream
-// holds one Machine struct (with its heap allocation) per *concurrently*
-// open machine plus 4 bytes per machine ever opened — not a full struct per
-// machine ever opened.
+// holds one run (with its heap allocation) per *concurrently* open machine
+// plus 4 bytes per machine ever opened — not a full record per machine ever
+// opened.  The open list carries each machine's slot, so the policies' scans
+// never look an id up.
 //
 // Pinned machines are the one exception to auto-closing: the epoch-hybrid
 // policy pre-assigns a whole batch to machines before replaying the batch's
@@ -34,8 +41,10 @@
 // fully placed.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -44,6 +53,13 @@
 #include "online/engine_stats.hpp"
 
 namespace busytime {
+
+/// An open machine: its stable id and its storage slot.  Valid until the
+/// machine closes (the next advance() past its last running job).
+struct OpenMachine {
+  MachineId id = Schedule::kUnscheduled;
+  std::int32_t slot = -1;
+};
 
 class MachinePool {
  public:
@@ -57,25 +73,31 @@ class MachinePool {
   /// instant before querying fits/extension.
   void advance(Time now);
 
-  /// Ids of the currently open machines, in ascending (opening) order.
-  const std::vector<MachineId>& open_machines() const noexcept { return open_; }
+  /// The currently open machines, in ascending (opening) id order.
+  const std::vector<OpenMachine>& open_machines() const noexcept { return open_; }
 
-  /// True iff machine `m` can take one more job at the current clock.
-  bool fits(MachineId m) const;
+  /// True iff open machine `m` can take one more job at the current clock.
+  bool fits(const OpenMachine& m) const {
+    return active_count_[static_cast<std::size_t>(m.slot)] < g_;
+  }
 
   /// Busy-time increase of placing `iv` on open machine `m` right now.
   /// Always <= iv.length(); strictly less iff the machine's busy segment
   /// reaches past iv.start.
-  Time extension(MachineId m, const Interval& iv) const;
+  Time extension(const OpenMachine& m, const Interval& iv) const {
+    const Time seg_end = seg_end_[static_cast<std::size_t>(m.slot)];
+    if (iv.start >= seg_end) return iv.length();  // idle gap or no job yet
+    return std::max<Time>(0, iv.completion - seg_end);
+  }
 
-  /// Opens a machine and returns its id.  Ids are dense and stable; the
-  /// backing slot is recycled from a closed machine when one is free.
-  /// Pinned machines are exempt from idle auto-closing until unpin_all().
-  MachineId open_machine(bool pinned = false);
+  /// Opens a machine.  Ids are dense and stable; the backing slot is
+  /// recycled from a closed machine when one is free.  Pinned machines are
+  /// exempt from idle auto-closing until unpin_all().
+  OpenMachine open_machine(bool pinned = false);
 
-  /// Places `iv` on machine `m` at the current clock (advance(iv.start)
+  /// Places `iv` on open machine `m` at the current clock (advance(iv.start)
   /// must have been called).  Updates busy time incrementally.
-  void place(MachineId m, const Interval& iv);
+  void place(const OpenMachine& m, const Interval& iv);
 
   /// Truncates a running job on open machine `m` at the current clock: the
   /// job previously placed with completion `completion` stops now.  Frees
@@ -103,43 +125,47 @@ class MachinePool {
 
   /// Machines ever opened (== the id the next open_machine() returns).
   std::size_t machines_ever() const noexcept { return slot_of_.size(); }
-  /// Backing Machine structs in existence (high-water of open machines).
-  std::size_t slot_count() const noexcept { return slots_.size(); }
+  /// Backing slots in existence (high-water of open machines).
+  std::size_t slot_count() const noexcept { return running_.size(); }
 
  private:
-  /// Cold per-slot storage: completions of jobs still running, as a binary
-  /// min-heap.  Touched only when a completion is actually due (advance),
-  /// a job is placed, or a truncate rewrites the running set.
-  struct Machine {
-    std::vector<Time> active;
-  };
-
   static constexpr std::int32_t kNoSlot = -1;
+  /// next_completion_ of a slot with no running job: compares greater than
+  /// any real clock, so the scans need no emptiness branch.
+  static constexpr Time kIdle = std::numeric_limits<Time>::max();
+  /// seg_end_ of a slot whose machine has no job yet: every start reaches
+  /// past it, so the first placement opens a fresh segment.
+  static constexpr Time kNoJobs = std::numeric_limits<Time>::lowest();
 
-  std::int32_t slot_index(MachineId id) const {
+  std::size_t slot_of(MachineId id) const {
     const std::int32_t slot = slot_of_[static_cast<std::size_t>(id)];
     assert(slot != kNoSlot);
-    return slot;
+    return static_cast<std::size_t>(slot);
   }
 
+  /// Drops the completions <= now from slot `s`'s run.
+  void retire(std::size_t s, Time now);
+
   int g_ = 1;
-  std::vector<Machine> slots_;
+  /// Cold per-slot storage: completions of the jobs still running, in no
+  /// order.  Touched only when a completion is due (advance), a job is
+  /// placed, or a truncate removes one.
+  std::vector<std::vector<Time>> running_;
   // Hot per-slot scalars, SoA (the algo/profile.hpp discipline): the
   // advance/fits/extension scans the policies issue per event read these
-  // parallel flat vectors and never touch the heap storage unless a
-  // completion is due.  next_completion_ caches the heap minimum (kIdle
-  // when no job is running) so the common advance step is one flat
-  // compare per open machine.
+  // parallel flat vectors and never touch a run unless a completion is
+  // due.  next_completion_ caches the run's least value (kIdle when no job
+  // is running) so the common advance step is one flat compare per open
+  // machine.
   std::vector<Time> next_completion_;
   std::vector<Time> seg_end_;
   std::vector<std::int32_t> active_count_;
-  std::vector<std::uint8_t> slot_has_jobs_;
   std::vector<std::uint8_t> slot_pinned_;
   /// External id -> slot index; kNoSlot once the machine has closed.  This
   /// is the only per-machine-ever state (4 bytes each).
   std::vector<std::int32_t> slot_of_;
   std::vector<std::int32_t> free_slots_;  // LIFO: hottest storage first
-  std::vector<MachineId> open_;
+  std::vector<OpenMachine> open_;
   std::vector<MachineId> pinned_;
   EngineStats stats_;
 };

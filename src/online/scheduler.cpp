@@ -1,6 +1,5 @@
 #include "online/scheduler.hpp"
 
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,35 +7,17 @@
 
 namespace busytime {
 
-namespace {
-
-[[noreturn]] void throw_out_of_order(const char* what, JobId id, Time at,
-                                     Time stream_time) {
+void OnlineScheduler::throw_out_of_order(const char* what, JobId id,
+                                         Time at) const {
   std::ostringstream oss;
   oss << "out-of-order " << what << ": job " << id << " at " << at
-      << " but the stream is already at " << stream_time;
+      << " but the stream is already at " << last_time_;
   throw std::invalid_argument(oss.str());
 }
 
-}  // namespace
-
-void OnlineScheduler::on_arrival(JobId id, const Job& job) {
-  if (started_ && job.start() < last_time_)
-    throw_out_of_order("arrival", id, job.start(), last_time_);
-  started_ = true;
-  last_time_ = job.start();
-
-  schedule_.ensure_size(static_cast<std::size_t>(id) + 1);
-  pool_.advance(job.start());
-  handle(id, job);
-}
-
-void OnlineScheduler::on_cancel(JobId id, const Job& job, Time at, bool preempt) {
-  if (started_ && at < last_time_)
-    throw_out_of_order(preempt ? "preemption" : "cancellation", id, at, last_time_);
-  started_ = true;
-  last_time_ = at;
-
+bool OnlineScheduler::begin_cancel(JobId id, const Job& job, Time at,
+                                   bool preempt) {
+  check_order(at, id, preempt ? "preemption" : "cancellation");
   schedule_.ensure_size(static_cast<std::size_t>(id) + 1);
   if (retracted_.size() < schedule_.size()) retracted_.resize(schedule_.size(), 0);
   pool_.advance(at);
@@ -46,45 +27,15 @@ void OnlineScheduler::on_cancel(JobId id, const Job& job, Time at, bool preempt)
   if (at <= job.start() || at >= job.completion() ||
       retracted_[static_cast<std::size_t>(id)]) {
     pool_.note_ignored_cancel();
-    return;
+    return false;
   }
-  if (handle_cancel(id, job, at, preempt)) {
-    retracted_[static_cast<std::size_t>(id)] = 1;
-  } else {
-    pool_.note_ignored_cancel();
-  }
+  return true;
 }
 
-bool OnlineScheduler::handle_cancel(JobId id, const Job& job, Time /*at*/,
-                                    bool preempt) {
+bool OnlineScheduler::truncate_placed(JobId id, const Job& job, bool preempt) {
   const MachineId m = schedule_.machine_of(id);
   if (m == Schedule::kUnscheduled) return false;  // never arrived: nothing to undo
   return pool_.truncate(m, job.completion(), preempt).has_value();
-}
-
-void OnlineFirstFit::handle(JobId id, const Job& job) {
-  for (const MachineId m : pool_.open_machines()) {
-    if (pool_.fits(m)) {
-      commit(id, m, job);
-      return;
-    }
-  }
-  commit(id, pool_.open_machine(), job);
-}
-
-void OnlineBestFit::handle(JobId id, const Job& job) {
-  MachineId best = Schedule::kUnscheduled;
-  Time best_ext = std::numeric_limits<Time>::max();
-  for (const MachineId m : pool_.open_machines()) {
-    if (!pool_.fits(m)) continue;
-    const Time ext = pool_.extension(m, job.interval);
-    if (ext < best_ext) {
-      best = m;
-      best_ext = ext;
-    }
-  }
-  if (best == Schedule::kUnscheduled) best = pool_.open_machine();
-  commit(id, best, job);
 }
 
 std::string to_string(OnlinePolicy policy) {

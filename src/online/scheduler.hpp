@@ -23,10 +23,19 @@
 // remaining job covers is refunded (MachinePool::truncate).  The hybrid
 // additionally truncates jobs still pending in its epoch batch before they
 // are ever placed.
+//
+// Each policy is a final class over PolicyScheduler<Policy>, whose
+// on_arrival/on_cancel run the shared event steps and then call the
+// policy's handle/handle_cancel directly.  The stream driver's replay loop
+// is a template over the final class, so an event costs no virtual call;
+// the virtual interface below serves callers that pick a policy at run
+// time (make_scheduler).
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -40,16 +49,24 @@ enum class OnlinePolicy { kFirstFit, kBestFit, kEpochHybrid };
 
 std::string to_string(OnlinePolicy policy);
 
+/// Tuning knobs for policies that have any (currently the epoch hybrid).
+struct PolicyParams {
+  /// Epoch width of the hybrid: pending jobs are re-optimized offline
+  /// whenever an arrival falls `epoch_length` past the epoch's first start.
+  Time epoch_length = 1024;
+  /// Hard cap on a batch, bounding the per-epoch offline solve.
+  int max_batch = 4096;
+};
+
 class OnlineScheduler {
  public:
-  explicit OnlineScheduler(int g) : pool_(g), schedule_(0) {}
   virtual ~OnlineScheduler() = default;
 
   /// Feeds the next arrival.  Event times must be non-decreasing across
   /// on_arrival/on_cancel calls; out-of-order events throw
   /// std::invalid_argument.  `id` indexes the job in the originating
   /// instance (ids may arrive in any order as long as times are monotone).
-  void on_arrival(JobId id, const Job& job);
+  virtual void on_arrival(JobId id, const Job& job) = 0;
 
   /// Feeds a cancellation (preempt = false) or preemption (preempt = true):
   /// job `id` — which previously arrived as `job` — stops at `at`, its
@@ -59,7 +76,8 @@ class OnlineScheduler {
   /// Events outside the job's run (at <= start, at >= completion, or a
   /// second retraction) are counted as ignored.  `at` must be monotone with
   /// the other events.
-  void on_cancel(JobId id, const Job& job, Time at, bool preempt = false);
+  virtual void on_cancel(JobId id, const Job& job, Time at,
+                         bool preempt = false) = 0;
 
   /// Commits any deferred jobs (no-op for the pure greedy policies).  Must
   /// be called once after the last event before reading the schedule.
@@ -72,68 +90,137 @@ class OnlineScheduler {
   /// the next shard's first arrival.  `now` must be monotone.
   void advance_clock(Time now) { pool_.advance(now); }
 
+  /// Sizes the schedule for job ids below `jobs` up front, so no arrival
+  /// grows it (the retraction marks follow at the first retraction).
+  void presize(std::size_t jobs) { schedule_.ensure_size(jobs); }
+
   virtual std::string name() const = 0;
 
   const Schedule& schedule() const noexcept { return schedule_; }
+  /// Moves the schedule out; the scheduler is spent afterwards.
+  Schedule take_schedule() noexcept { return std::move(schedule_); }
   const EngineStats& stats() const noexcept { return pool_.stats(); }
   int g() const noexcept { return pool_.g(); }
 
  protected:
-  /// Policy hook: decide (or defer) the machine for `job`.  The pool clock
-  /// has already been advanced to job.start().
-  virtual void handle(JobId id, const Job& job) = 0;
+  explicit OnlineScheduler(int g) : pool_(g) {}
 
-  /// Policy hook for an effective retraction (the pool clock is at `at`,
-  /// which lies strictly inside the job's run, and the job has not been
-  /// retracted before).  Returns true when the retraction took effect.  The
-  /// base implementation truncates the placed job on its machine; policies
-  /// that defer commitment override it to retract pending jobs first.
-  virtual bool handle_cancel(JobId id, const Job& job, Time at, bool preempt);
+  /// The event steps every policy shares.  begin_arrival checks the order,
+  /// sizes the schedule for `id` and advances the pool to the job's start.
+  /// begin_cancel does the same for a retraction and returns true when the
+  /// retraction can take effect (start < at < completion, not retracted
+  /// before); otherwise it counts the event as ignored.  end_cancel records
+  /// the policy's verdict.
+  void begin_arrival(JobId id, const Job& job) {
+    check_order(job.start(), id, "arrival");
+    schedule_.ensure_size(static_cast<std::size_t>(id) + 1);
+    pool_.advance(job.start());
+  }
+  bool begin_cancel(JobId id, const Job& job, Time at, bool preempt);
+  void end_cancel(JobId id, bool effective) {
+    if (effective) {
+      retracted_[static_cast<std::size_t>(id)] = 1;
+    } else {
+      pool_.note_ignored_cancel();
+    }
+  }
+
+  /// The retraction of a placed job: truncates it on its machine.  Returns
+  /// false when the job never arrived or is not running there.
+  bool truncate_placed(JobId id, const Job& job, bool preempt);
 
   /// Places `job` on machine `m` and records the assignment.
-  void commit(JobId id, MachineId m, const Job& job) {
+  void commit(JobId id, const OpenMachine& m, const Job& job) {
     pool_.place(m, job.interval);
-    schedule_.assign(id, m);
+    schedule_.assign(id, m.id);
   }
 
   MachinePool pool_;
   Schedule schedule_;
 
  private:
+  void check_order(Time at, JobId id, const char* what) {
+    if (started_ && at < last_time_) throw_out_of_order(what, id, at);
+    started_ = true;
+    last_time_ = at;
+  }
+  [[noreturn]] void throw_out_of_order(const char* what, JobId id, Time at) const;
+
   bool started_ = false;
   Time last_time_ = 0;
   /// Jobs already effectively retracted (second retractions are no-ops).
   std::vector<char> retracted_;
 };
 
-/// Online first-fit: first open machine with a free slot, in opening order.
-class OnlineFirstFit final : public OnlineScheduler {
+/// The event entry points of policy `Policy` (a final class deriving from
+/// PolicyScheduler<Policy>): the shared steps, then the policy's own
+/// handle(id, job) and handle_cancel(id, job, at, preempt), called
+/// directly.  A policy that defers nothing inherits handle_cancel, which
+/// truncates the placed job.
+template <class Policy>
+class PolicyScheduler : public OnlineScheduler {
  public:
-  using OnlineScheduler::OnlineScheduler;
-  std::string name() const override { return to_string(OnlinePolicy::kFirstFit); }
+  void on_arrival(JobId id, const Job& job) final {
+    begin_arrival(id, job);
+    self().handle(id, job);
+  }
+
+  void on_cancel(JobId id, const Job& job, Time at, bool preempt = false) final {
+    if (begin_cancel(id, job, at, preempt))
+      end_cancel(id, self().handle_cancel(id, job, at, preempt));
+  }
 
  protected:
-  void handle(JobId id, const Job& job) override;
+  using OnlineScheduler::OnlineScheduler;
+
+  bool handle_cancel(JobId id, const Job& job, Time /*at*/, bool preempt) {
+    return truncate_placed(id, job, preempt);
+  }
+
+ private:
+  Policy& self() { return static_cast<Policy&>(*this); }
+};
+
+/// Online first-fit: first open machine with a free slot, in opening order.
+class OnlineFirstFit final : public PolicyScheduler<OnlineFirstFit> {
+ public:
+  explicit OnlineFirstFit(int g, const PolicyParams& /*unused*/ = {})
+      : PolicyScheduler(g) {}
+  std::string name() const override { return to_string(OnlinePolicy::kFirstFit); }
+
+ private:
+  friend class PolicyScheduler<OnlineFirstFit>;
+  void handle(JobId id, const Job& job) {
+    for (const OpenMachine& m : pool_.open_machines()) {
+      if (pool_.fits(m)) return commit(id, m, job);
+    }
+    commit(id, pool_.open_machine(), job);
+  }
 };
 
 /// Online best-fit: feasible open machine with the smallest busy-time
 /// extension; ties break toward the lowest machine id.
-class OnlineBestFit final : public OnlineScheduler {
+class OnlineBestFit final : public PolicyScheduler<OnlineBestFit> {
  public:
-  using OnlineScheduler::OnlineScheduler;
+  explicit OnlineBestFit(int g, const PolicyParams& /*unused*/ = {})
+      : PolicyScheduler(g) {}
   std::string name() const override { return to_string(OnlinePolicy::kBestFit); }
 
- protected:
-  void handle(JobId id, const Job& job) override;
-};
-
-/// Tuning knobs for policies that have any (currently the epoch hybrid).
-struct PolicyParams {
-  /// Epoch width of the hybrid: pending jobs are re-optimized offline
-  /// whenever an arrival falls `epoch_length` past the epoch's first start.
-  Time epoch_length = 1024;
-  /// Hard cap on a batch, bounding the per-epoch offline solve.
-  int max_batch = 4096;
+ private:
+  friend class PolicyScheduler<OnlineBestFit>;
+  void handle(JobId id, const Job& job) {
+    const OpenMachine* best = nullptr;
+    Time best_ext = std::numeric_limits<Time>::max();
+    for (const OpenMachine& m : pool_.open_machines()) {
+      if (!pool_.fits(m)) continue;
+      const Time ext = pool_.extension(m, job.interval);
+      if (ext < best_ext) {
+        best = &m;
+        best_ext = ext;
+      }
+    }
+    commit(id, best != nullptr ? *best : pool_.open_machine(), job);
+  }
 };
 
 std::unique_ptr<OnlineScheduler> make_scheduler(OnlinePolicy policy, int g,

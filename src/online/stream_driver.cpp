@@ -4,8 +4,10 @@
 #include <chrono>
 #include <limits>
 
+#include "api/request.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/hooks.hpp"
+#include "online/epoch_hybrid.hpp"
 
 namespace busytime {
 
@@ -59,26 +61,144 @@ std::vector<ShardRange> plan_shards(const Instance& trace, int threads,
 }
 
 /// Assigns each canonical cancel record to the shard holding its job's
-/// arrival.  An effective record's time lies strictly inside its job's
-/// interval, so it is strictly earlier than every event of any later shard
-/// and strictly later than its shard's first arrival: the canonical
-/// (time-sorted) cancel list decomposes into contiguous per-shard runs, and
+/// arrival, by time alone.  An effective record's time lies strictly inside
+/// its job's interval: strictly after its shard's first arrival, and
+/// strictly before the next shard's first arrival (a cut lies at or past
+/// every earlier completion).  So the canonical (time-sorted) cancel list
+/// splits into contiguous per-shard runs at the shards' first starts, and
 /// each shard's run replays in the exact position the sequential stream
 /// processes it.
-void bucket_cancels(const std::vector<CancelRecord>& cancels,
-                    const std::vector<std::size_t>& pos_by_id,
+void bucket_cancels(const Instance& trace,
+                    const std::vector<CancelRecord>& cancels,
                     std::vector<ShardRange>& shards) {
+  const auto& order = trace.ids_by_start();
   std::size_t next = 0;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     shards[s].cancel_begin = next;
-    while (next < cancels.size()) {
-      const std::size_t pos =
-          pos_by_id[static_cast<std::size_t>(cancels[next].job)];
-      if (pos >= shards[s].end) break;
-      ++next;
+    if (s + 1 == shards.size()) {
+      next = cancels.size();
+    } else {
+      const Time cut = trace.jobs()[static_cast<std::size_t>(
+                                        order[shards[s + 1].begin])]
+                           .start();
+      next = static_cast<std::size_t>(
+          std::partition_point(
+              cancels.begin() + static_cast<std::ptrdiff_t>(next), cancels.end(),
+              [cut](const CancelRecord& record) { return record.at < cut; }) -
+          cancels.begin());
     }
     shards[s].cancel_end = next;
   }
+}
+
+/// One shard's replay output.
+struct ShardRun {
+  Schedule part;
+  EngineStats stats;
+};
+
+/// Everything a shard's replay reads.  With one shard the scheduler sees
+/// the trace's own job ids and its schedule is the result; with several,
+/// each numbers its jobs by position within the shard (`pos_by_id` maps a
+/// retracted job to its start-order position) and the merge renumbers.
+struct ReplayPlan {
+  const Instance& trace;
+  const std::vector<CancelRecord>& cancels;
+  const PolicyParams& params;
+  const std::vector<ShardRange>& shards;
+  std::vector<std::size_t> pos_by_id;  // sharded replays with cancels only
+  const RequestContext* context;
+  obs::MetricsRegistry* metrics;
+  obs::TraceContext* spans;
+  std::uint32_t replay_span;
+
+  bool sharded() const noexcept { return shards.size() > 1; }
+};
+
+/// Replays shard `s` through a fresh `Policy`: the shard's arrivals merged
+/// with its retractions in the canonical stream order, one direct call per
+/// event.  The request's controls are checked before the shard's first
+/// event and then every kCheckpointEvents events, so where a check falls
+/// depends on the input alone.
+template <class Policy>
+ShardRun replay_shard(const ReplayPlan& plan, std::size_t s) {
+  const auto s0 = std::chrono::steady_clock::now();
+  const ShardRange& shard = plan.shards[s];
+  const std::vector<JobId>& order = plan.trace.ids_by_start();
+  const std::vector<Job>& jobs = plan.trace.jobs();
+  const std::size_t arrivals = shard.end - shard.begin;
+  const bool sharded = plan.sharded();
+
+  Policy sched(plan.trace.g(), plan.params);
+  sched.presize(sharded ? arrivals : jobs.size());
+
+  std::size_t until_check = 0;
+  const auto checkpoint = [&] {
+    if (until_check-- != 0) return;
+    until_check = kCheckpointEvents - 1;
+    if (plan.context != nullptr) plan.context->check();
+  };
+  const auto retract = [&](const CancelRecord& record) {
+    const auto job = static_cast<std::size_t>(record.job);
+    const JobId id =
+        sharded ? static_cast<JobId>(plan.pos_by_id[job] - shard.begin) : record.job;
+    sched.on_cancel(id, jobs[job], record.at, record.preempt);
+  };
+  std::size_t c = shard.cancel_begin;
+  for (std::size_t a = shard.begin; a < shard.end; ++a) {
+    const JobId id = order[a];
+    const Job& job = jobs[static_cast<std::size_t>(id)];
+    for (; c < shard.cancel_end &&
+           retraction_precedes_arrival(plan.cancels[c].at, job.start());
+         ++c) {
+      checkpoint();
+      retract(plan.cancels[c]);
+    }
+    checkpoint();
+    sched.on_arrival(sharded ? static_cast<JobId>(a - shard.begin) : id, job);
+  }
+  for (; c < shard.cancel_end; ++c) {
+    checkpoint();
+    retract(plan.cancels[c]);
+  }
+
+  if (s + 1 < plan.shards.size()) {
+    // Finalize exactly as the sequential stream does around the next
+    // shard's first arrival: advance (closing machines gone idle), flush
+    // the pending epoch batch the way that arrival's handle() would, then
+    // advance once more — the batch machines are placed entirely in the
+    // past, so the following arrival closes them immediately.
+    const Time next_start =
+        jobs[static_cast<std::size_t>(order[plan.shards[s + 1].begin])].start();
+    sched.advance_clock(next_start);
+    sched.flush();
+    sched.advance_clock(std::numeric_limits<Time>::max());
+  } else {
+    sched.flush();
+  }
+  ShardRun run{sched.take_schedule(), sched.stats()};
+
+  const auto s1 = std::chrono::steady_clock::now();
+  if (plan.metrics != nullptr) {
+    plan.metrics->record<obs::metric::kOnlineShardJobs>(arrivals);
+    plan.metrics->record<obs::metric::kOnlineShardReplayUs>(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(s1 - s0)
+                .count()));
+  }
+  if (plan.spans != nullptr)
+    plan.spans->add("shard", plan.replay_span, s0, s1,
+                    static_cast<std::int64_t>(arrivals));
+  return run;
+}
+
+template <class Policy>
+std::vector<ShardRun> replay_shards(const ReplayPlan& plan, int threads) {
+  std::vector<ShardRun> runs(plan.shards.size());
+  exec::parallel_for(threads, plan.shards.size(), [&](std::size_t s) {
+    runs[s] = replay_shard<Policy>(plan, s);
+  });
+  return runs;
 }
 
 ReplayResult replay_events(const Instance& trace,
@@ -108,94 +228,54 @@ ReplayResult replay_events(const Instance& trace,
   ReplayResult result;
   result.threads = t;
   result.shards = shards.size();
-  result.schedule = Schedule(trace.size());
   if (shards.empty()) return result;
 
+  bucket_cancels(trace, cancels, shards);
+  ReplayPlan plan{trace,   cancels, params, shards, {},
+                  context, metrics, spans,  replay_span.id()};
   const auto& order = trace.ids_by_start();
-  std::vector<std::size_t> pos_by_id;
-  if (!cancels.empty()) {
-    pos_by_id.resize(trace.size());
+  if (plan.sharded() && !cancels.empty()) {
+    plan.pos_by_id.resize(trace.size());
     for (std::size_t k = 0; k < order.size(); ++k)
-      pos_by_id[static_cast<std::size_t>(order[k])] = k;
-    bucket_cancels(cancels, pos_by_id, shards);
+      plan.pos_by_id[static_cast<std::size_t>(order[k])] = k;
   }
 
-  struct ShardRun {
-    Schedule part;  // over shard-local job ids (position within the shard)
-    EngineStats stats;
-  };
-  std::vector<ShardRun> runs(shards.size());
-  exec::parallel_for(t, shards.size(), [&](std::size_t s) {
-    const auto s0 = std::chrono::steady_clock::now();
-    const auto sched = make_scheduler(policy, trace.g(), params);
-    // Merge the shard's arrivals with its retractions in the canonical
-    // stream order.
-    std::size_t a = shards[s].begin;
-    std::size_t c = shards[s].cancel_begin;
-    while (a < shards[s].end || c < shards[s].cancel_end) {
-      const bool take_cancel =
-          c < shards[s].cancel_end &&
-          (a >= shards[s].end ||
-           retraction_precedes_arrival(cancels[c].at,
-                                       trace.job(order[a]).start()));
-      if (take_cancel) {
-        const CancelRecord& record = cancels[c++];
-        const std::size_t pos =
-            pos_by_id[static_cast<std::size_t>(record.job)];
-        sched->on_cancel(static_cast<JobId>(pos - shards[s].begin),
-                         trace.job(record.job), record.at, record.preempt);
-      } else {
-        sched->on_arrival(static_cast<JobId>(a - shards[s].begin),
-                          trace.job(order[a]));
-        ++a;
-      }
-    }
-    if (s + 1 < shards.size()) {
-      // Finalize exactly as the sequential stream does around the next
-      // shard's first arrival: advance (closing machines gone idle), flush
-      // the pending epoch batch the way that arrival's handle() would, then
-      // advance once more — the batch machines are placed entirely in the
-      // past, so the following arrival closes them immediately.
-      const Time next_start = trace.job(order[shards[s + 1].begin]).start();
-      sched->advance_clock(next_start);
-      sched->flush();
-      sched->advance_clock(std::numeric_limits<Time>::max());
-    } else {
-      sched->flush();
-    }
-    runs[s].part = sched->schedule();
-    runs[s].stats = sched->stats();
-    const auto s1 = std::chrono::steady_clock::now();
-    const std::size_t arrivals = shards[s].end - shards[s].begin;
-    if (metrics != nullptr) {
-      metrics->record<obs::metric::kOnlineShardJobs>(arrivals);
-      metrics->record<obs::metric::kOnlineShardReplayUs>(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(s1 - s0)
-                  .count()));
-    }
-    if (spans != nullptr)
-      spans->add("shard", replay_span.id(), s0, s1,
-                 static_cast<std::int64_t>(arrivals));
-  });
+  std::vector<ShardRun> runs;
+  switch (policy) {
+    case OnlinePolicy::kFirstFit:
+      runs = replay_shards<OnlineFirstFit>(plan, t);
+      break;
+    case OnlinePolicy::kBestFit:
+      runs = replay_shards<OnlineBestFit>(plan, t);
+      break;
+    case OnlinePolicy::kEpochHybrid:
+      runs = replay_shards<EpochHybrid>(plan, t);
+      break;
+  }
 
   const obs::ScopedSpan merge_span(spans, "replay_merge", replay_span.id());
   // Stitch in shard order.  Shards are time-disjoint and a sequential pool
   // never reuses a closed machine's id, so offsetting each shard's machine
   // ids by the openings before it reproduces the sequential numbering;
   // counters add, peaks max (only one shard is ever active at a time), and
-  // the final clock / open set are the last shard's.
+  // the final clock / open set are the last shard's.  A single shard's
+  // schedule already holds the trace's ids and is the result.
+  if (plan.sharded()) {
+    result.schedule = Schedule(trace.size());
+  } else {
+    result.schedule = std::move(runs.front().part);
+  }
   EngineStats merged;
   MachineId base = 0;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const ShardRun& run = runs[s];
-    const std::size_t count = shards[s].end - shards[s].begin;
-    for (std::size_t j = 0; j < count; ++j) {
-      const MachineId m = j < run.part.size()
-                              ? run.part.machine_of(static_cast<JobId>(j))
-                              : Schedule::kUnscheduled;
-      if (m == Schedule::kUnscheduled) continue;
-      result.schedule.assign(order[shards[s].begin + j], base + m);
+    if (plan.sharded()) {
+      const std::size_t count = shards[s].end - shards[s].begin;
+      for (std::size_t j = 0; j < count; ++j) {
+        const MachineId m = run.part.machine_of(static_cast<JobId>(j));
+        if (m == Schedule::kUnscheduled) continue;
+        result.schedule.assign(order[shards[s].begin + j], base + m);
+      }
     }
     base += static_cast<MachineId>(run.stats.machines_opened);
     merged.jobs_assigned += run.stats.jobs_assigned;

@@ -37,6 +37,13 @@ struct RequestContext;
 /// amortized.
 inline constexpr std::size_t kMinShardJobs = 4096;
 
+/// Events a shard replays between two checks of the request's controls
+/// (deadline, cancel token).  A shard checks before its first event and
+/// then after every kCheckpointEvents events, so the check positions
+/// depend on the input alone: a request either completes exactly as an
+/// uncontrolled one would, or stops with an empty schedule.
+inline constexpr std::size_t kCheckpointEvents = 4096;
+
 /// A replay's schedule and merged stats (cost, validity and ratios are
 /// finalize's job).
 struct ReplayResult {
@@ -52,7 +59,10 @@ struct ReplayResult {
 ///
 /// `context` is the observability/controls hook: replay counters and
 /// per-shard histograms are recorded into its metrics registry (nothing is
-/// recorded when there is none) and shard spans into its trace.
+/// recorded when there is none) and shard spans into its trace.  Its
+/// controls are checked at each shard start and every kCheckpointEvents
+/// events; a tripped control throws DeadlineExceededError or
+/// RequestCancelledError (api/request.hpp) out of the replay.
 ReplayResult replay_stream(const Instance& trace, OnlinePolicy policy,
                            const PolicyParams& params, int threads = 1,
                            std::size_t min_shard_jobs = kMinShardJobs,

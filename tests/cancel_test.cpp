@@ -3,9 +3,13 @@
 // determinism contract with retraction events in the stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <ctime>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/dispatch.hpp"
@@ -14,6 +18,9 @@
 #include "io/serialize.hpp"
 #include "online/epoch_hybrid.hpp"
 #include "online/stream_driver.hpp"
+#include "service/service.hpp"
+#include "support/online_oracle.hpp"
+#include "util/check.hpp"
 #include "util/fnv.hpp"
 #include "workload/cancellable.hpp"
 
@@ -35,16 +42,34 @@ EventTrace cancellable_trace(std::uint64_t seed, int n = 400, int g = 4,
   return gen_cancellable(tp, cp);
 }
 
+// EngineStats in EngineStats::fields order, as the pins below record them.
+std::vector<std::int64_t> stats_fields(const EngineStats& s) {
+  std::vector<std::int64_t> out;
+  EngineStats::fields([&](const char*, auto member) {
+    out.push_back(static_cast<std::int64_t>(s.*member));
+  });
+  return out;
+}
+
+// FNV-1a of an assignment, each machine id as four little-endian bytes.
+std::uint64_t assignment_hash(const Schedule& schedule) {
+  std::string bytes;
+  for (const MachineId m : schedule.assignment())
+    for (int b = 0; b < 4; ++b)
+      bytes.push_back(static_cast<char>((static_cast<std::uint32_t>(m) >> (8 * b)) & 0xff));
+  return util::fnv1a_64(bytes);
+}
+
 // ------------------------------------------------------------ machine pool
 
 TEST(MachinePoolCancel, TruncatingTheSoleJobRefundsTheUncoveredTail) {
   MachinePool pool(2);
   pool.advance(0);
-  const MachineId m = pool.open_machine();
+  const OpenMachine m = pool.open_machine();
   pool.place(m, {0, 100});
   EXPECT_EQ(pool.stats().online_cost, 100);
   pool.advance(40);
-  EXPECT_EQ(pool.truncate(m, 100, /*preempt=*/false), 60);
+  EXPECT_EQ(pool.truncate(m.id, 100, /*preempt=*/false), 60);
   EXPECT_EQ(pool.stats().online_cost, 40);
   EXPECT_EQ(pool.stats().busy_time_refunded, 60);
   EXPECT_EQ(pool.stats().jobs_cancelled, 1);
@@ -54,12 +79,12 @@ TEST(MachinePoolCancel, TruncatingTheSoleJobRefundsTheUncoveredTail) {
 TEST(MachinePoolCancel, CoveredTailRefundsNothing) {
   MachinePool pool(2);
   pool.advance(0);
-  const MachineId m = pool.open_machine();
+  const OpenMachine m = pool.open_machine();
   pool.place(m, {0, 100});
   pool.place(m, {0, 100});
   pool.advance(40);
   // The twin job still covers [40, 100): nothing to refund.
-  EXPECT_EQ(pool.truncate(m, 100, /*preempt=*/true), 0);
+  EXPECT_EQ(pool.truncate(m.id, 100, /*preempt=*/true), 0);
   EXPECT_EQ(pool.stats().online_cost, 100);
   EXPECT_EQ(pool.stats().jobs_preempted, 1);
 }
@@ -67,12 +92,12 @@ TEST(MachinePoolCancel, CoveredTailRefundsNothing) {
 TEST(MachinePoolCancel, PartialCoverRefundsTheDifference) {
   MachinePool pool(2);
   pool.advance(0);
-  const MachineId m = pool.open_machine();
+  const OpenMachine m = pool.open_machine();
   pool.place(m, {0, 100});
   pool.place(m, {0, 60});
   pool.advance(40);
   // [40, 60) stays covered by the second job; only [60, 100) is refunded.
-  EXPECT_EQ(pool.truncate(m, 100, /*preempt=*/false), 40);
+  EXPECT_EQ(pool.truncate(m.id, 100, /*preempt=*/false), 40);
   EXPECT_EQ(pool.stats().online_cost, 60);
   // Placing after the truncation extends from the new frontier.
   EXPECT_EQ(pool.extension(m, {40, 90}), 30);
@@ -81,11 +106,11 @@ TEST(MachinePoolCancel, PartialCoverRefundsTheDifference) {
 TEST(MachinePoolCancel, TruncationFreesACapacitySlot) {
   MachinePool pool(1);
   pool.advance(0);
-  const MachineId m = pool.open_machine();
+  const OpenMachine m = pool.open_machine();
   pool.place(m, {0, 100});
   EXPECT_FALSE(pool.fits(m));
   pool.advance(50);
-  pool.truncate(m, 100, /*preempt=*/false);
+  pool.truncate(m.id, 100, /*preempt=*/false);
   EXPECT_TRUE(pool.fits(m));
 }
 
@@ -94,14 +119,14 @@ TEST(MachinePoolCancel, TruncationFreesACapacitySlot) {
 TEST(MachinePoolRecycling, ClosedSlotsAreReusedAndIdsStayStable) {
   MachinePool pool(2);
   pool.advance(0);
-  const MachineId m0 = pool.open_machine();
-  EXPECT_EQ(m0, 0);
+  const OpenMachine m0 = pool.open_machine();
+  EXPECT_EQ(m0.id, 0);
   pool.place(m0, {0, 10});
   pool.advance(10);  // retires the job; machine 0 closes
   EXPECT_TRUE(pool.open_machines().empty());
 
-  const MachineId m1 = pool.open_machine();
-  EXPECT_EQ(m1, 1);  // external ids never reused
+  const OpenMachine m1 = pool.open_machine();
+  EXPECT_EQ(m1.id, 1);  // external ids never reused
   EXPECT_EQ(pool.stats().slots_recycled, 1);
   EXPECT_EQ(pool.slot_count(), 1u);    // one backing struct serves both
   EXPECT_EQ(pool.machines_ever(), 2u);
@@ -321,16 +346,151 @@ TEST(CancelReplay, EpochHybridMatchesPinnedResults) {
     const ReplayResult r =
         replay_stream(cancellable_trace(pin.seed, 5000, pin.g, 0.2),
                       OnlinePolicy::kEpochHybrid, params);
+    EXPECT_EQ(stats_fields(r.stats), pin.stats) << context;
+    EXPECT_EQ(assignment_hash(r.schedule), pin.assignment_hash) << context;
+  }
+}
+
+// The greedy policies' replays of the same 5,000-job traces, pinned the
+// same way, with and without retractions.  g = 64 and 255 exceed the
+// traces' peak load, so there the two policies coincide.
+TEST(CancelReplay, GreedyPoliciesMatchPinnedResults) {
+  constexpr OnlinePolicy kFF = OnlinePolicy::kFirstFit;
+  constexpr OnlinePolicy kBF = OnlinePolicy::kBestFit;
+  struct Pin {
+    OnlinePolicy policy;
+    std::uint64_t seed;
+    double cancel_rate;
+    int g;
     std::vector<std::int64_t> stats;
-    EngineStats::fields([&](const char*, auto member) {
-      stats.push_back(static_cast<std::int64_t>(r.stats.*member));
-    });
-    EXPECT_EQ(stats, pin.stats) << context;
-    std::string bytes;
-    for (const MachineId m : r.schedule.assignment())
-      for (int b = 0; b < 4; ++b)
-        bytes.push_back(static_cast<char>((static_cast<std::uint32_t>(m) >> (8 * b)) & 0xff));
-    EXPECT_EQ(util::fnv1a_64(bytes), pin.assignment_hash) << context;
+    std::uint64_t assignment_hash;
+  };
+  const Pin pins[] = {
+    {kFF, 1, 0.0, 1, {5000, 5000, 4990, 10, 19, 10, 19, 0, 0, 0, 4981, 0, 9794, 77849}, 0xe689f457c96dee4full},
+    {kFF, 1, 0.0, 4, {5000, 326, 323, 3, 5, 10, 19, 0, 0, 0, 321, 0, 9794, 27670}, 0xb5ef519fac5e7422ull},
+    {kFF, 1, 0.0, 8, {5000, 145, 143, 2, 3, 10, 19, 0, 0, 0, 142, 0, 9794, 17007}, 0x9d832dad0a30b2c4ull},
+    {kFF, 1, 0.0, 64, {5000, 4, 3, 1, 1, 10, 19, 0, 0, 0, 3, 0, 9794, 10118}, 0x7fb8eeefcb82d293ull},
+    {kFF, 1, 0.0, 255, {5000, 4, 3, 1, 1, 10, 19, 0, 0, 0, 3, 0, 9794, 10118}, 0x7fb8eeefcb82d293ull},
+    {kFF, 1, 0.2, 1, {5000, 5000, 4990, 10, 19, 10, 19, 766, 244, 0, 4981, 7375, 9794, 70474}, 0xe689f457c96dee4full},
+    {kFF, 1, 0.2, 4, {5000, 349, 346, 3, 5, 10, 19, 766, 244, 0, 344, 2221, 9794, 25770}, 0x209d1510ba3b418full},
+    {kFF, 1, 0.2, 8, {5000, 170, 168, 2, 3, 10, 19, 766, 244, 0, 167, 1198, 9794, 15917}, 0xfbb8a342e7efcc66ull},
+    {kFF, 1, 0.2, 64, {5000, 9, 8, 1, 1, 10, 19, 766, 244, 0, 8, 743, 9794, 10112}, 0xb6da10573d43d165ull},
+    {kFF, 1, 0.2, 255, {5000, 9, 8, 1, 1, 10, 19, 766, 244, 0, 8, 743, 9794, 10112}, 0xb6da10573d43d165ull},
+    {kFF, 7, 0.0, 1, {5000, 5000, 4992, 8, 20, 8, 20, 0, 0, 0, 4980, 0, 10070, 81499}, 0x4bc6622753160bb3ull},
+    {kFF, 7, 0.0, 4, {5000, 298, 295, 3, 5, 8, 20, 0, 0, 0, 293, 0, 10070, 28705}, 0x8a9b89cae3080f71ull},
+    {kFF, 7, 0.0, 8, {5000, 136, 134, 2, 3, 8, 20, 0, 0, 0, 133, 0, 10070, 17692}, 0x927910ba40666e0eull},
+    {kFF, 7, 0.0, 64, {5000, 4, 3, 1, 1, 8, 20, 0, 0, 0, 3, 0, 10070, 10120}, 0xc9e82c1194c1e103ull},
+    {kFF, 7, 0.0, 255, {5000, 4, 3, 1, 1, 8, 20, 0, 0, 0, 3, 0, 10070, 10120}, 0xc9e82c1194c1e103ull},
+    {kFF, 7, 0.2, 1, {5000, 5000, 4999, 1, 18, 0, 18, 700, 250, 0, 4982, 8205, 10105, 73294}, 0x4bc6622753160bb3ull},
+    {kFF, 7, 0.2, 4, {5000, 325, 324, 1, 5, 0, 18, 700, 250, 0, 320, 2633, 10105, 26415}, 0xae2c585a0e4a9990ull},
+    {kFF, 7, 0.2, 8, {5000, 160, 159, 1, 3, 0, 18, 700, 250, 0, 157, 1286, 10105, 16549}, 0xd0163f13b8ecfddcull},
+    {kFF, 7, 0.2, 64, {5000, 6, 5, 1, 1, 0, 18, 700, 250, 0, 5, 597, 10105, 10098}, 0x0a4c6eebe4d686d1ull},
+    {kFF, 7, 0.2, 255, {5000, 6, 5, 1, 1, 0, 18, 700, 250, 0, 5, 597, 10105, 10098}, 0x0a4c6eebe4d686d1ull},
+    {kFF, 42, 0.0, 1, {5000, 5000, 4990, 10, 21, 10, 21, 0, 0, 0, 4979, 0, 9809, 77634}, 0x3d6688e912e937e3ull},
+    {kFF, 42, 0.0, 4, {5000, 316, 313, 3, 6, 10, 21, 0, 0, 0, 310, 0, 9809, 27936}, 0x823a9a3b3d7b44dcull},
+    {kFF, 42, 0.0, 8, {5000, 141, 139, 2, 3, 10, 21, 0, 0, 0, 138, 0, 9809, 17368}, 0xc461d45eb5b012a3ull},
+    {kFF, 42, 0.0, 64, {5000, 6, 5, 1, 1, 10, 21, 0, 0, 0, 5, 0, 9809, 9936}, 0x4b1dee5d17a21455ull},
+    {kFF, 42, 0.0, 255, {5000, 6, 5, 1, 1, 10, 21, 0, 0, 0, 5, 0, 9809, 9936}, 0x4b1dee5d17a21455ull},
+    {kFF, 42, 0.2, 1, {5000, 5000, 4992, 8, 17, 8, 17, 757, 262, 0, 4983, 8261, 9809, 69373}, 0x3d6688e912e937e3ull},
+    {kFF, 42, 0.2, 4, {5000, 328, 325, 3, 5, 8, 17, 757, 262, 0, 323, 2624, 9809, 25435}, 0x02be6adadabc308full},
+    {kFF, 42, 0.2, 8, {5000, 147, 145, 2, 3, 8, 17, 757, 262, 0, 144, 1933, 9809, 15914}, 0xe1223814df529f7dull},
+    {kFF, 42, 0.2, 64, {5000, 8, 7, 1, 1, 8, 17, 757, 262, 0, 7, 1068, 9809, 9931}, 0xf6a1b0ca12747163ull},
+    {kFF, 42, 0.2, 255, {5000, 8, 7, 1, 1, 8, 17, 757, 262, 0, 7, 1068, 9809, 9931}, 0xf6a1b0ca12747163ull},
+    {kBF, 1, 0.0, 1, {5000, 5000, 4990, 10, 19, 10, 19, 0, 0, 0, 4981, 0, 9794, 77849}, 0xe689f457c96dee4full},
+    {kBF, 1, 0.0, 4, {5000, 421, 417, 4, 5, 10, 19, 0, 0, 0, 416, 0, 9794, 26697}, 0xde9d3c1d696d9110ull},
+    {kBF, 1, 0.0, 8, {5000, 170, 168, 2, 3, 10, 19, 0, 0, 0, 167, 0, 9794, 16661}, 0xf93aafc11624bf4aull},
+    {kBF, 1, 0.0, 64, {5000, 4, 3, 1, 1, 10, 19, 0, 0, 0, 3, 0, 9794, 10118}, 0x7fb8eeefcb82d293ull},
+    {kBF, 1, 0.0, 255, {5000, 4, 3, 1, 1, 10, 19, 0, 0, 0, 3, 0, 9794, 10118}, 0x7fb8eeefcb82d293ull},
+    {kBF, 1, 0.2, 1, {5000, 5000, 4990, 10, 19, 10, 19, 766, 244, 0, 4981, 7375, 9794, 70474}, 0xe689f457c96dee4full},
+    {kBF, 1, 0.2, 4, {5000, 446, 443, 3, 5, 10, 19, 766, 244, 0, 441, 1717, 9794, 24643}, 0xcdc40ad66c7610beull},
+    {kBF, 1, 0.2, 8, {5000, 188, 186, 2, 3, 10, 19, 766, 244, 0, 185, 1056, 9794, 15671}, 0x71c2e2662999ae8eull},
+    {kBF, 1, 0.2, 64, {5000, 9, 8, 1, 1, 10, 19, 766, 244, 0, 8, 743, 9794, 10112}, 0xb6da10573d43d165ull},
+    {kBF, 1, 0.2, 255, {5000, 9, 8, 1, 1, 10, 19, 766, 244, 0, 8, 743, 9794, 10112}, 0xb6da10573d43d165ull},
+    {kBF, 7, 0.0, 1, {5000, 5000, 4992, 8, 20, 8, 20, 0, 0, 0, 4980, 0, 10070, 81499}, 0x4bc6622753160bb3ull},
+    {kBF, 7, 0.0, 4, {5000, 369, 366, 3, 5, 8, 20, 0, 0, 0, 364, 0, 10070, 27700}, 0xc1da62591708779aull},
+    {kBF, 7, 0.0, 8, {5000, 172, 170, 2, 3, 8, 20, 0, 0, 0, 169, 0, 10070, 17354}, 0xd1642a38eeef3640ull},
+    {kBF, 7, 0.0, 64, {5000, 4, 3, 1, 1, 8, 20, 0, 0, 0, 3, 0, 10070, 10120}, 0xc9e82c1194c1e103ull},
+    {kBF, 7, 0.0, 255, {5000, 4, 3, 1, 1, 8, 20, 0, 0, 0, 3, 0, 10070, 10120}, 0xc9e82c1194c1e103ull},
+    {kBF, 7, 0.2, 1, {5000, 5000, 4999, 1, 18, 0, 18, 700, 250, 0, 4982, 8205, 10105, 73294}, 0x4bc6622753160bb3ull},
+    {kBF, 7, 0.2, 4, {5000, 407, 406, 1, 5, 0, 18, 700, 250, 0, 402, 2412, 10105, 25391}, 0x171c20c39d297061ull},
+    {kBF, 7, 0.2, 8, {5000, 186, 185, 1, 3, 0, 18, 700, 250, 0, 183, 1305, 10105, 15883}, 0x0e136c8d9abcd537ull},
+    {kBF, 7, 0.2, 64, {5000, 6, 5, 1, 1, 0, 18, 700, 250, 0, 5, 597, 10105, 10098}, 0x0a4c6eebe4d686d1ull},
+    {kBF, 7, 0.2, 255, {5000, 6, 5, 1, 1, 0, 18, 700, 250, 0, 5, 597, 10105, 10098}, 0x0a4c6eebe4d686d1ull},
+    {kBF, 42, 0.0, 1, {5000, 5000, 4990, 10, 21, 10, 21, 0, 0, 0, 4979, 0, 9809, 77634}, 0x3d6688e912e937e3ull},
+    {kBF, 42, 0.0, 4, {5000, 402, 399, 3, 6, 10, 21, 0, 0, 0, 396, 0, 9809, 26601}, 0x022a37e73b9bf640ull},
+    {kBF, 42, 0.0, 8, {5000, 179, 177, 2, 3, 10, 21, 0, 0, 0, 176, 0, 9809, 16622}, 0xa836902de5553445ull},
+    {kBF, 42, 0.0, 64, {5000, 6, 5, 1, 1, 10, 21, 0, 0, 0, 5, 0, 9809, 9936}, 0x4b1dee5d17a21455ull},
+    {kBF, 42, 0.0, 255, {5000, 6, 5, 1, 1, 10, 21, 0, 0, 0, 5, 0, 9809, 9936}, 0x4b1dee5d17a21455ull},
+    {kBF, 42, 0.2, 1, {5000, 5000, 4992, 8, 17, 8, 17, 757, 262, 0, 4983, 8261, 9809, 69373}, 0x3d6688e912e937e3ull},
+    {kBF, 42, 0.2, 4, {5000, 400, 398, 2, 5, 8, 17, 757, 262, 0, 395, 2285, 9809, 24437}, 0x8a5306d75bb900cbull},
+    {kBF, 42, 0.2, 8, {5000, 184, 183, 1, 3, 8, 17, 757, 262, 0, 181, 1595, 9809, 15075}, 0x0647cd96b0c64d05ull},
+    {kBF, 42, 0.2, 64, {5000, 8, 7, 1, 1, 8, 17, 757, 262, 0, 7, 1068, 9809, 9931}, 0xf6a1b0ca12747163ull},
+    {kBF, 42, 0.2, 255, {5000, 8, 7, 1, 1, 8, 17, 757, 262, 0, 7, 1068, 9809, 9931}, 0xf6a1b0ca12747163ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::string context = to_string(pin.policy) +
+                                " seed=" + std::to_string(pin.seed) +
+                                " rate=" + std::to_string(pin.cancel_rate) +
+                                " g=" + std::to_string(pin.g);
+    const ReplayResult r = replay_stream(
+        cancellable_trace(pin.seed, 5000, pin.g, pin.cancel_rate), pin.policy, {});
+    EXPECT_EQ(stats_fields(r.stats), pin.stats) << context;
+    EXPECT_EQ(assignment_hash(r.schedule), pin.assignment_hash) << context;
+  }
+}
+
+// ------------------------------------------------ from-scratch oracle
+
+// The greedy replays against an oracle that recomputes every machine's
+// running count and busy time from its full job list at every event.  The
+// dense traces (8 arrivals per time unit, up to ~140 jobs running) fill
+// machines at g = 64 and keep one long run of completions at g = 255, so
+// retirements and truncations walk long runs.
+TEST(CancelReplay, GreedyPoliciesMatchTheFromScratchOracle) {
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    for (const double arrival_rate : {0.5, 8.0}) {
+      for (const double cancel_rate : {0.0, 0.2}) {
+        for (const int g : {1, 4, 8, 64, 255}) {
+          TraceParams tp;
+          tp.n = 1500;
+          tp.g = g;
+          tp.arrival_rate = arrival_rate;
+          tp.seed = seed;
+          CancelParams cp;
+          cp.cancel_rate = cancel_rate;
+          cp.seed = seed + 1;
+          const EventTrace trace = gen_cancellable(tp, cp);
+          for (const OnlinePolicy policy : {OnlinePolicy::kFirstFit, OnlinePolicy::kBestFit}) {
+            const std::string context =
+                to_string(policy) + " seed=" + std::to_string(seed) +
+                " arrivals=" + std::to_string(arrival_rate) +
+                " cancels=" + std::to_string(cancel_rate) + " g=" + std::to_string(g);
+            const ReplayResult r = replay_stream(trace, policy, {});
+            const OracleReplay oracle = replay_greedy_oracle(trace, policy);
+            EXPECT_EQ(r.schedule.assignment(), oracle.schedule.assignment()) << context;
+            EXPECT_EQ(stats_fields(r.stats), stats_fields(oracle.stats)) << context;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Two running jobs complete at 100 on one machine.  Truncating one leaves
+// the other covering the tail (no refund); truncating the second then
+// refunds [60, 100), and the machine closes before the last arrival.
+TEST(CancelReplay, TruncatingOneOfTwoEqualCompletionsMatchesTheOracle) {
+  const Instance base({Job(0, 100), Job(10, 100), Job(20, 40), Job(120, 130)}, 3);
+  const EventTrace trace(base, {{1, 30, false}, {0, 60, true}});
+  for (const OnlinePolicy policy : {OnlinePolicy::kFirstFit, OnlinePolicy::kBestFit}) {
+    const ReplayResult r = replay_stream(trace, policy, {});
+    const OracleReplay oracle = replay_greedy_oracle(trace, policy);
+    EXPECT_EQ(r.schedule.assignment(), oracle.schedule.assignment()) << to_string(policy);
+    EXPECT_EQ(stats_fields(r.stats), stats_fields(oracle.stats)) << to_string(policy);
+    EXPECT_EQ(r.stats.busy_time_refunded, 40) << to_string(policy);
+    EXPECT_EQ(r.stats.online_cost, 60 + 10) << to_string(policy);
+    EXPECT_EQ(r.schedule.machine_of(3), 1) << to_string(policy);
+    EXPECT_EQ(r.stats.slots_recycled, 1) << to_string(policy);
   }
 }
 
@@ -445,6 +605,132 @@ TEST(CancelReplay, RetractionPrecedesArrivalAtEqualTimes) {
     EXPECT_EQ(r.stats.jobs_cancelled, 1) << to_string(policy);
     EXPECT_EQ(r.stats.online_cost, r.schedule.cost(trace.residual()))
         << to_string(policy);
+  }
+}
+
+// ------------------------------------------------------ request controls
+
+struct PolicySolver {
+  const char* solver;
+  OnlinePolicy policy;
+};
+constexpr PolicySolver kPolicySolvers[] = {{"online_first_fit", OnlinePolicy::kFirstFit},
+                                           {"online_best_fit", OnlinePolicy::kBestFit},
+                                           {"epoch_hybrid", OnlinePolicy::kEpochHybrid}};
+
+// The cancellable 150k input of the baseline measurements (`busytime_cli gen
+// --family=trace --n=150000 --g=8 --seed=1 --cancel_rate=0.2`), with its
+// residual and start order memoized so a request's time is its replay.
+const EventTrace& baseline_trace() {
+  static const EventTrace trace = [] {
+    TraceParams tp;
+    tp.n = 150000;
+    tp.g = 8;
+    tp.seed = 1;
+    CancelParams cp;
+    cp.cancel_rate = 0.2;
+    cp.seed = 1;
+    return with_random_cancels(gen_trace(tp), cp);
+  }();
+  trace.residual();
+  trace.base().ids_by_start();
+  return trace;
+}
+
+// The replay checks the request's deadline at each shard start and every
+// kCheckpointEvents events, so a request stops within one checkpoint of its
+// deadline instead of running to the end.  The deadline is 5 ms, or half of
+// the uncontrolled request on a host fast enough to finish sooner.  The
+// bound is on the CPU time the request used, which a loaded host cannot
+// stretch by descheduling the thread: up to the deadline it is at most the
+// deadline's wall time, and after it at most one checkpoint interval.
+TEST(CancelReplayControls, DeadlineStopsTheReplayWithinOneCheckpoint) {
+  const EventTrace& trace = baseline_trace();
+  Service service(ServiceConfig{1});
+  for (const PolicySolver& entry : kPolicySolvers) {
+    const char* const solver = entry.solver;
+    const double full_ms = service.solve(trace, SolverSpec::parse(solver)).wall_ms;
+    SolverSpec spec = SolverSpec::parse(solver);
+    spec.options.deadline_ms = std::min(5.0, full_ms / 2);
+    const std::clock_t c0 = std::clock();
+    const SolveResult r = service.solve(trace, spec);
+    [[maybe_unused]] const double cpu_ms =
+        1000.0 * static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
+    EXPECT_EQ(r.status, SolveStatus::kDeadline) << solver << " full=" << full_ms;
+    EXPECT_EQ(r.schedule.throughput(), 0) << solver;
+#if !BUSYTIME_AUDIT
+    // Audit and sanitizer builds run the replay several times slower.
+    EXPECT_LE(cpu_ms, 2 * spec.options.deadline_ms)
+        << solver << " full=" << full_ms << " wall=" << r.wall_ms;
+#endif
+  }
+}
+
+// A token triggered from another thread while the replay runs stops it at
+// the next checkpoint, at one thread and across shards, with and without
+// retraction records.  The trigger fires once the request's replay has
+// started (its online.replays count).  On a host too loaded to trigger
+// before the replay ends, the result must be the uncontrolled one, so a
+// few attempts are allowed.
+TEST(CancelReplayControls, CancelTokenFromAnotherThreadStopsTheReplay) {
+  const EventTrace arrivals_only(baseline_trace().base());
+  for (const EventTrace* trace : {&baseline_trace(), &arrivals_only}) {
+    for (const auto& [solver, policy] : kPolicySolvers) {
+      for (const int threads : {1, 4}) {
+        SolverSpec spec = SolverSpec::parse(solver);
+        spec.options.threads = threads;
+        const std::string context = std::string(solver) + " threads=" +
+                                    std::to_string(threads) + " cancels=" +
+                                    std::to_string(trace->cancels().size());
+        const ReplayResult uncontrolled =
+            replay_stream(*trace, policy, PolicyParams{}, threads);
+        bool cancelled = false;
+        for (int attempt = 0; attempt < 5 && !cancelled; ++attempt) {
+          Service service(ServiceConfig{1});
+          spec.cancel = CancelToken::make();
+          std::atomic<bool> finished{false};
+          std::thread trigger([&service, &finished, token = spec.cancel] {
+            while (!finished && service.metrics().snapshot().counter_value(
+                                    obs::metric::kOnlineReplays) == 0)
+              std::this_thread::yield();
+            token.request_cancel();
+          });
+          const SolveResult r = service.solve(*trace, spec);
+          finished = true;
+          trigger.join();
+          if (r.status == SolveStatus::kCancelled) {
+            cancelled = true;
+            EXPECT_EQ(r.schedule.throughput(), 0) << context;
+          } else {
+            ASSERT_EQ(r.status, SolveStatus::kOk) << context;
+            EXPECT_EQ(r.schedule.assignment(), uncontrolled.schedule.assignment())
+                << context;
+          }
+        }
+        EXPECT_TRUE(cancelled) << context;
+      }
+    }
+  }
+}
+
+// Checkpoints change nothing when no control trips: a request with a far
+// deadline and a live token returns the uncontrolled replay bit for bit.
+TEST(CancelReplayControls, UntrippedControlsKeepResultsBitIdentical) {
+  const EventTrace& trace = baseline_trace();
+  Service service(ServiceConfig{1});
+  for (const auto& [solver, policy] : kPolicySolvers) {
+    for (const int threads : {1, 4}) {
+      const std::string context = std::string(solver) + " threads=" + std::to_string(threads);
+      const ReplayResult plain = replay_stream(trace, policy, PolicyParams{}, threads);
+      SolverSpec spec = SolverSpec::parse(solver);
+      spec.options.threads = threads;
+      spec.options.deadline_ms = 600000;
+      spec.cancel = CancelToken::make();
+      const SolveResult r = service.solve(trace, spec);
+      ASSERT_EQ(r.status, SolveStatus::kOk) << context;
+      EXPECT_EQ(r.schedule.assignment(), plain.schedule.assignment()) << context;
+      EXPECT_EQ(r.stats, plain.stats) << context;
+    }
   }
 }
 

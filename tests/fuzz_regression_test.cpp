@@ -283,6 +283,15 @@ TEST(FuzzRegression, WirePayloadSeedsStillDecode) {
   }
 }
 
+TEST(FuzzRegression, ScheduleMachineIdPastTheJobCountIsRejected) {
+  // assign 0 100000000 for one of 8 jobs: the reader must reject the id,
+  // not hand `check` a schedule whose machine count sizes its arrays.
+  const std::string bytes =
+      slurp(regressions_dir() / "schedule_machine_id_past_job_count.txt");
+  std::istringstream is(bytes);
+  EXPECT_THROW(busytime::read_schedule(is, 8), busytime::ParseError);
+}
+
 TEST(FuzzRegression, TextReaderSeedsStillParse) {
   const fs::path dir = fs::path(BUSYTIME_FUZZ_CORPUS_DIR) / "text_readers";
   for (const auto& entry : fs::directory_iterator(dir)) {

@@ -1,15 +1,18 @@
 // Tests for serialization, the Gantt renderer, and local search.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "algo/dispatch.hpp"
 #include "algo/exact_minbusy.hpp"
 #include "algo/first_fit.hpp"
 #include "algo/local_search.hpp"
+#include "api/registry.hpp"
 #include "core/validate.hpp"
 #include "io/serialize.hpp"
 #include "viz/gantt.hpp"
+#include "workload/cancellable.hpp"
 #include "workload/generators.hpp"
 
 namespace busytime {
@@ -138,8 +141,68 @@ TEST(Serialize, ScheduleRejectsMachineIdsPastTheIdType) {
       EXPECT_NE(std::string(e.what()).find(id), std::string::npos) << e.what();
     }
   }
+  // Ids are bounded by the job count, so the id type's largest value only
+  // loads where the job count exceeds it.
   std::stringstream largest("busytime-schedule v1\nn 1\nassign 0 2147483647\n");
-  EXPECT_EQ(read_schedule(largest, 1).machine_of(0), 2147483647);
+  EXPECT_THROW(read_schedule(largest, 1), ParseError);
+}
+
+// A schedule of n jobs uses machine ids below n: a larger id is a ParseError
+// naming its line, so no consumer sizes per-machine state by a forged id
+// (a 2-job file with `assign 0 100000000` once exhausted memory in
+// `busytime_cli check`).  Every schedule the solvers write meets the bound
+// and reloads.
+TEST(Serialize, ScheduleRejectsMachineIdsAtOrPastTheJobCount) {
+  for (const std::string& id : {std::string("2"), std::string("100000000")}) {
+    std::stringstream in("busytime-schedule v1\nn 2\nassign 1 1\nassign 0 " + id + "\n");
+    try {
+      read_schedule(in, 2);
+      FAIL() << "expected ParseError for machine " << id;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 4) << id;
+      EXPECT_NE(std::string(e.what()).find(id), std::string::npos) << e.what();
+    }
+  }
+  std::stringstream largest("busytime-schedule v1\nn 2\nassign 0 1\nassign 1 1\n");
+  EXPECT_EQ(read_schedule(largest, 2).machine_of(1), 1);
+
+  // Every family the generators make, small enough for the exact solvers.
+  std::vector<EventTrace> workloads;
+  for (const int g : {2, 3}) {
+    GenParams p;
+    p.n = 10;
+    p.g = g;
+    p.seed = 4;
+    for (Instance (*gen)(const GenParams&) :
+         {gen_general, gen_clique, gen_proper, gen_proper_clique, gen_one_sided})
+      workloads.emplace_back(gen(p));
+  }
+  TraceParams tp;
+  tp.n = 60;
+  tp.g = 2;
+  tp.seed = 4;
+  workloads.push_back(with_random_cancels(gen_trace(tp), CancelParams{0.3, 0.25, 5}));
+  std::set<std::string> written;
+  for (const EventTrace& trace : workloads) {
+    for (const SolverInfo* info : SolverRegistry::instance().all()) {
+      SolverSpec spec;
+      spec.name = info->name;
+      if (info->needs_budget) spec.options.budget = 200;
+      SolveResult result;
+      try {
+        result = run_solver(trace, spec);
+      } catch (const NotApplicableError&) {
+        continue;
+      }
+      std::stringstream buffer;
+      write_schedule(buffer, result.schedule);
+      EXPECT_EQ(read_schedule(buffer, trace.size()).assignment(),
+                result.schedule.assignment())
+          << info->name << " on " << trace.base().summary();
+      written.insert(info->name);
+    }
+  }
+  EXPECT_EQ(written.size(), SolverRegistry::instance().size());
 }
 
 TEST(Serialize, TrailingInputErrorNamesTheLine) {

@@ -31,7 +31,7 @@ constexpr OnlinePolicy kAllPolicies[] = {
 TEST(MachinePool, IncrementalBusyTimeHandlesOverlapTouchAndGap) {
   MachinePool pool(2);
   pool.advance(0);
-  const MachineId m = pool.open_machine(/*pinned=*/true);
+  const OpenMachine m = pool.open_machine(/*pinned=*/true);
   pool.place(m, {0, 10});
   EXPECT_EQ(pool.stats().online_cost, 10);
   pool.advance(5);
@@ -48,7 +48,7 @@ TEST(MachinePool, IncrementalBusyTimeHandlesOverlapTouchAndGap) {
 TEST(MachinePool, ExtensionNeverExceedsLength) {
   MachinePool pool(3);
   pool.advance(0);
-  const MachineId m = pool.open_machine();
+  const OpenMachine m = pool.open_machine();
   pool.place(m, {0, 100});
   pool.advance(40);
   EXPECT_EQ(pool.extension(m, {40, 80}), 0);    // swallowed by the segment
@@ -59,7 +59,7 @@ TEST(MachinePool, ExtensionNeverExceedsLength) {
 TEST(MachinePool, IdleMachinesCloseAndCapacityIsEnforced) {
   MachinePool pool(2);
   pool.advance(0);
-  const MachineId m = pool.open_machine();
+  const OpenMachine m = pool.open_machine();
   pool.place(m, {0, 4});
   pool.place(m, {0, 6});
   EXPECT_FALSE(pool.fits(m));  // 2 active = g
