@@ -10,8 +10,8 @@
 #include <iostream>
 #include <string>
 
+#include "stats.hpp"
 #include "util/flags.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace busytime::bench {

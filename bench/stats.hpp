@@ -1,4 +1,4 @@
-// Small online-statistics helpers used by the benchmark harness.
+// Small online-statistics helpers used by the experiment binaries.
 #pragma once
 
 #include <algorithm>

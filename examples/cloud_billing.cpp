@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "busytime.hpp"
+#include "sim/billing.hpp"
 #include "util/flags.hpp"
 
 int main(int argc, char** argv) {

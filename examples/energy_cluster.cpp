@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "busytime.hpp"
+#include "sim/machine_sim.hpp"
 #include "util/flags.hpp"
 
 int main(int argc, char** argv) {

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "busytime.hpp"
+#include "sim/regenerator.hpp"
 #include "util/flags.hpp"
 #include "util/prng.hpp"
 

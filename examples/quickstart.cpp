@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "busytime.hpp"
+#include "sim/machine_sim.hpp"
 
 int main() {
   using namespace busytime;

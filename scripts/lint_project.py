@@ -16,6 +16,11 @@ scripts/check_docs.py fails if the two drift):
                               name
   cmake-sources-complete      the explicit BUSYTIME_SOURCES list in
                               CMakeLists.txt matches src/**/*.cpp exactly
+  no-test-only-headers        every src/**/*.hpp but the umbrella is
+                              included by some file outside tests/ (not
+                              counting the umbrella and its own .cpp); a
+                              module only tests reach belongs in
+                              tests/support/
 
 Header *self-containment* is enforced by the build itself: CMake generates
 one TU per header into the `busytime_header_check` target, so it is not a
@@ -47,6 +52,9 @@ RULES = [
      "obs::kMetricCatalog rows are sorted by metric name"),
     ("cmake-sources-complete",
      "the BUSYTIME_SOURCES list in CMakeLists.txt matches src/**/*.cpp"),
+    ("no-test-only-headers",
+     "every src header but busytime.hpp is included outside tests/, "
+     "not counting busytime.hpp and its own .cpp"),
 ]
 
 STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"')
@@ -57,6 +65,9 @@ STDIO_RE = re.compile(r"std::cout\b|\bprintf\s*\(|\brand\s*\(|\btime\s*\(")
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
 METRIC_CONST_RE = re.compile(r"inline constexpr char (k\w+)\[\]\s*=\s*\"([^\"]+)\"")
 METRIC_USE_RE = re.compile(r"\{metric::(k\w+),")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
+# Every top-level source directory except tests/.
+NON_TEST_DIRS = ("src", "bench", "examples", "fuzz", "perfbench")
 
 
 def strip_code(text):
@@ -169,8 +180,30 @@ def check_cmake_sources(root):
     return failures
 
 
+def check_test_only_headers(root):
+    umbrella = root / "src" / "busytime.hpp"
+    used = set()
+    for top in NON_TEST_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".hpp", ".cpp") or path == umbrella:
+                continue
+            for name in INCLUDE_RE.findall(path.read_text()):
+                header = root / "src" / name
+                if header.with_suffix(".cpp") != path:  # not its own .cpp
+                    used.add(header)
+    failures = []
+    for hpp in src_headers(root):
+        if hpp != umbrella and hpp not in used:
+            failures.append(
+                f"no-test-only-headers: {hpp.relative_to(root)}: no file "
+                f"outside tests/ includes it (move a test-only module to "
+                f"tests/support/, or include it where it is used)")
+    return failures
+
+
 CHECKS = [check_pragma_once, check_using_namespace, check_umbrella,
-          check_stdio, check_metric_catalog, check_cmake_sources]
+          check_stdio, check_metric_catalog, check_cmake_sources,
+          check_test_only_headers]
 
 
 def run_checks(root):
@@ -201,9 +234,20 @@ def seed_violation_tree(root):
         'int h() { return rand(); }\n'
         'long t() { return time(nullptr); }\n')
     (root / "src" / "core" / "missing.cpp").write_text("int unused;\n")
+    # no-test-only-headers: oracle.hpp is included by its own .cpp, the
+    # umbrella and a test only; used.hpp by a bench, so it must not fire
+    (root / "src" / "core" / "oracle.hpp").write_text("#pragma once\n")
+    (root / "src" / "core" / "oracle.cpp").write_text(
+        '#include "core/oracle.hpp"\n')
+    (root / "src" / "core" / "used.hpp").write_text("#pragma once\n")
+    (root / "bench").mkdir()
+    (root / "bench" / "tbl.cpp").write_text('#include "core/used.hpp"\n')
+    (root / "tests").mkdir()
+    (root / "tests" / "oracle_test.cpp").write_text(
+        '#include "core/oracle.hpp"\n')
     # umbrella-complete-sorted: missing naughty.hpp, includes a ghost header
     (root / "src" / "busytime.hpp").write_text(
-        '#pragma once\n#include "core/ghost.hpp"\n')
+        '#pragma once\n#include "core/ghost.hpp"\n#include "core/oracle.hpp"\n')
     # metric-catalog-sorted: catalog rows out of order
     (root / "src" / "obs" / "metrics.hpp").write_text(
         '#pragma once\n'
@@ -233,11 +277,21 @@ def self_test():
             print(f"self-test FAILED: rules never fired: {missing}",
                   file=sys.stderr)
             return 1
-        # False-positive guard: the comment/string mentions must not fire.
+        # False-positive guards: the comment/string mentions must not fire...
         stdio = [f for f in failures if f.startswith("no-stdio-in-library")]
         if len(stdio) != 4:
             print(f"self-test FAILED: expected exactly 4 stdio findings "
                   f"(cout/printf/rand/time), got {len(stdio)}", file=sys.stderr)
+            return 1
+        # ...nor does a header a bench includes, while the one that only its
+        # own .cpp, the umbrella and a test include does.
+        test_only = {f.split(":")[1].strip() for f in failures
+                     if f.startswith("no-test-only-headers")}
+        if ("src/core/oracle.hpp" not in test_only
+                or "src/core/used.hpp" in test_only):
+            print(f"self-test FAILED: expected oracle.hpp and not used.hpp "
+                  f"among the test-only findings, got {sorted(test_only)}",
+                  file=sys.stderr)
             return 1
         print(f"self-test ok: all {len(RULES)} rules fired "
               f"({len(failures)} seeded findings)")

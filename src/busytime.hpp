@@ -6,9 +6,8 @@
 // Modules (each header is independently includable):
 //   api/            unified solver API: SolverSpec/SolveResult + registry
 //   core/           problem model, schedules, validity, bounds, classification
-//   intervalgraph/  sweepline + interval-graph substrate
-//   matching/       maximum-weight general matching (blossom) + oracles
-//   setcover/       weighted greedy set cover
+//   intervalgraph/  sweepline (peak overlap = clique number ω)
+//   matching/       maximum-weight general matching (blossom, greedy)
 //   algo/           MinBusy algorithms (Section 3) + exact reference solvers
 //   exec/           thread pool + deterministic parallel_for helpers
 //   throughput/     MaxThroughput algorithms (Section 4) + reduction
@@ -22,7 +21,7 @@
 //   workload/       seeded synthetic instance generators
 //   sim/            event-driven machine/energy simulator + app mappings
 //   extensions/     Section 5 extensions (weighted, demands, ring, tree)
-//   util/           flags, PRNG, statistics, tables, bit ops, field lists
+//   util/           flags, PRNG, tables, bit ops, field lists
 #pragma once
 
 #include "algo/best_cut.hpp"
@@ -54,12 +53,10 @@
 #include "extensions/ring.hpp"
 #include "extensions/tree_one_sided.hpp"
 #include "extensions/weighted_tput.hpp"
-#include "intervalgraph/interval_graph.hpp"
 #include "intervalgraph/sweepline.hpp"
 #include "io/json.hpp"
 #include "io/serialize.hpp"
 #include "matching/blossom.hpp"
-#include "matching/dp_matching.hpp"
 #include "matching/greedy_matching.hpp"
 #include "matching/matching_types.hpp"
 #include "net/binstream.hpp"
@@ -85,7 +82,6 @@
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "service/tenant_queue.hpp"
-#include "setcover/greedy_setcover.hpp"
 #include "sim/billing.hpp"
 #include "sim/machine_sim.hpp"
 #include "sim/regenerator.hpp"
@@ -100,7 +96,6 @@
 #include "util/flags.hpp"
 #include "util/fnv.hpp"
 #include "util/prng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "viz/gantt.hpp"
 #include "workload/cancellable.hpp"

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/check.hpp"
@@ -12,7 +14,9 @@
 namespace busytime {
 
 Instance::Instance(std::vector<Job> jobs, int g) : jobs_(std::move(jobs)), g_(g) {
-  assert(g_ >= 1);
+  if (g_ < 1)
+    throw std::invalid_argument("instance capacity g must be >= 1, got " +
+                                std::to_string(g_));
 #ifndef NDEBUG
   for (const auto& j : jobs_) assert(j.length() > 0 && "jobs must have positive length");
 #endif

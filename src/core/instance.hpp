@@ -18,9 +18,9 @@ namespace busytime {
 /// An instance (J, g) of MinBusy, or the job/capacity part of a
 /// MaxThroughput instance (J, g, T).
 ///
-/// Invariants (checked in debug builds on construction):
-///  * every job has positive length;
-///  * g >= 1.
+/// Invariants:
+///  * g >= 1 (construction throws std::invalid_argument otherwise);
+///  * every job has positive length (checked in debug builds).
 ///
 /// An Instance is immutable after construction (the only mutation is
 /// whole-object assignment), so the sorted-id orders below are memoized:

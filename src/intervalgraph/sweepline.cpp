@@ -53,35 +53,4 @@ PeakWeight peak_weighted_overlap(const std::vector<Interval>& intervals,
   return peak;
 }
 
-OverlapProfile overlap_profile(const std::vector<Interval>& intervals) {
-  std::vector<Event> events;
-  events.reserve(intervals.size() * 2);
-  for (const auto& iv : intervals) {
-    if (iv.empty()) continue;
-    events.push_back({iv.start, +1});
-    events.push_back({iv.completion, -1});
-  }
-  sort_events(events);
-
-  OverlapProfile profile;
-  std::int64_t current = 0;
-  std::size_t i = 0;
-  while (i < events.size()) {
-    const Time t = events[i].time;
-    while (i < events.size() && events[i].time == t) {
-      current += events[i].delta;
-      ++i;
-    }
-    if (!profile.breakpoints.empty() &&
-        profile.counts.back() == static_cast<int>(current)) {
-      continue;  // no change in level; skip redundant breakpoint
-    }
-    profile.breakpoints.push_back(t);
-    profile.counts.push_back(static_cast<int>(current));
-  }
-  assert(current == 0);
-  assert(profile.counts.empty() || profile.counts.back() == 0);
-  return profile;
-}
-
 }  // namespace busytime

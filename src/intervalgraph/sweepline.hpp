@@ -32,12 +32,4 @@ struct PeakWeight {
 PeakWeight peak_weighted_overlap(const std::vector<Interval>& intervals,
                                  const std::vector<std::int64_t>& weights);
 
-/// The overlap profile as a step function: sorted breakpoints t_0 < ... < t_k
-/// and counts on [t_i, t_{i+1}).  Last count is always 0.
-struct OverlapProfile {
-  std::vector<Time> breakpoints;
-  std::vector<int> counts;  ///< counts.size() == breakpoints.size(); counts.back() == 0
-};
-OverlapProfile overlap_profile(const std::vector<Interval>& intervals);
-
 }  // namespace busytime

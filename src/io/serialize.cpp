@@ -419,16 +419,6 @@ EventTrace event_trace_from_string(const std::string& text) {
   return read_event_trace(is);
 }
 
-void save_instance(const std::string& path, const Instance& inst) {
-  auto os = open_out(path);
-  write_instance(os, inst);
-}
-
-Instance load_instance(const std::string& path) {
-  auto is = open_in(path);
-  return read_instance(is);
-}
-
 void save_event_trace(const std::string& path, const EventTrace& trace) {
   auto os = open_out(path);
   write_event_trace(os, trace);

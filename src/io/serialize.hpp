@@ -83,8 +83,6 @@ std::string event_trace_to_string(const EventTrace& trace);
 EventTrace event_trace_from_string(const std::string& text);
 
 /// File-path conveniences (throw std::runtime_error on I/O failure).
-void save_instance(const std::string& path, const Instance& inst);
-Instance load_instance(const std::string& path);
 void save_event_trace(const std::string& path, const EventTrace& trace);
 EventTrace load_event_trace(const std::string& path);
 void save_schedule(const std::string& path, const Schedule& s);

@@ -18,13 +18,6 @@ struct WeightedEdge {
 struct MatchingResult {
   std::vector<int> mate;
   std::int64_t weight = 0;
-
-  int matched_pairs() const noexcept {
-    int count = 0;
-    for (std::size_t v = 0; v < mate.size(); ++v)
-      if (mate[v] >= 0 && static_cast<std::size_t>(mate[v]) > v) ++count;
-    return count;
-  }
 };
 
 }  // namespace busytime

@@ -170,7 +170,11 @@ void Server::poll_once() {
   std::vector<std::uint64_t> ids;
   fds.push_back({wake_read_fd_, POLLIN, 0});
   ids.push_back(kWakeId);
-  if (listen_fd_ >= 0) {
+  if (accept_paused_at_ &&
+      std::chrono::steady_clock::now() - *accept_paused_at_ >=
+          std::chrono::milliseconds(kPollTimeoutMs))
+    accept_paused_at_.reset();
+  if (listen_fd_ >= 0 && !accept_paused_at_) {
     fds.push_back({listen_fd_, POLLIN, 0});
     ids.push_back(kListenId);
   }
@@ -215,8 +219,11 @@ void Server::accept_ready() {
   while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      return;  // transient accept failures are not fatal to the server
+      // Out of descriptors or memory: the connection stays queued and the
+      // listener readable, so stop polling it for a while (poll_once).
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM)
+        accept_paused_at_ = std::chrono::steady_clock::now();
+      return;  // accept failures are not fatal to the server
     }
     set_nonblocking(fd);
     set_nodelay(fd);
@@ -238,6 +245,7 @@ void Server::close_connection(std::uint64_t conn_id) {
   if (it->second->fd >= 0) ::close(it->second->fd);
   conns_.erase(it);
   open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  accept_paused_at_.reset();  // a descriptor is free again
 }
 
 void Server::handle_readable(Connection& conn) {

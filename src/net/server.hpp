@@ -11,6 +11,11 @@
 // pushes the encoded response into a completion queue and wakes the loop
 // through a self-pipe.
 //
+// When accept() runs out of descriptors or memory, the pending connection
+// stays queued and the listener stays readable, so polling it would spin
+// the loop: it leaves the poll set until a connection closes or one tick
+// passes, and the queued connections wait in the backlog until then.
+//
 // Per-connection state:
 //  * a handle table mapping wire handle ids to InstanceHandles — handles
 //    are connection-scoped and released on disconnect (the ref-count keeps
@@ -33,11 +38,13 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,6 +168,9 @@ class Server {
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
+  /// When accept() last ran out of descriptors or memory; set while the
+  /// listener is out of the poll set.
+  std::optional<std::chrono::steady_clock::time_point> accept_paused_at_;
 
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;

@@ -19,10 +19,6 @@ void EpochHybrid::handle(JobId id, const Job& job) {
   pending_.push_back(ArrivalEvent{id, job});
 }
 
-void EpochHybrid::flush() {
-  if (!pending_.empty()) flush_batch();
-}
-
 bool EpochHybrid::handle_cancel(JobId id, const Job& job, Time at, bool preempt) {
   // pending_ is in arrival order, so its starts never decrease: only the
   // run of pending jobs sharing job's start can hold it.

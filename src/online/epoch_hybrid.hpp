@@ -28,11 +28,6 @@ class EpochHybrid final : public PolicyScheduler<EpochHybrid> {
   EpochHybrid(int g, const PolicyParams& params)
       : PolicyScheduler(g), params_(params) {}
 
-  std::string name() const override { return to_string(OnlinePolicy::kEpochHybrid); }
-
-  /// Re-optimizes and places the still-pending batch (end of stream).
-  void flush() override;
-
  private:
   friend class PolicyScheduler<EpochHybrid>;
 
@@ -44,6 +39,11 @@ class EpochHybrid final : public PolicyScheduler<EpochHybrid> {
   /// The pending copy is found by binary search for job.start() and a scan
   /// of that run of equal starts, so `job` must be the job as it arrived.
   bool handle_cancel(JobId id, const Job& job, Time at, bool preempt);
+
+  /// Re-optimizes and places the still-pending batch (end of stream).
+  void handle_flush() {
+    if (!pending_.empty()) flush_batch();
+  }
 
   void flush_batch();
 

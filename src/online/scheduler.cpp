@@ -3,8 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "online/epoch_hybrid.hpp"
-
 namespace busytime {
 
 void OnlineScheduler::throw_out_of_order(const char* what, JobId id,
@@ -45,16 +43,6 @@ std::string to_string(OnlinePolicy policy) {
     case OnlinePolicy::kEpochHybrid: return "epoch-hybrid";
   }
   return "unknown";
-}
-
-std::unique_ptr<OnlineScheduler> make_scheduler(OnlinePolicy policy, int g,
-                                                const PolicyParams& params) {
-  switch (policy) {
-    case OnlinePolicy::kFirstFit: return std::make_unique<OnlineFirstFit>(g);
-    case OnlinePolicy::kBestFit: return std::make_unique<OnlineBestFit>(g);
-    case OnlinePolicy::kEpochHybrid: return std::make_unique<EpochHybrid>(g, params);
-  }
-  throw std::invalid_argument("unknown online policy");
 }
 
 }  // namespace busytime

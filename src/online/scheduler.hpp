@@ -1,6 +1,6 @@
-// OnlineScheduler interface and the greedy online policies.
+// The online schedulers and the greedy online policies.
 //
-// An OnlineScheduler consumes a time-ordered event stream — arrivals plus
+// An online scheduler consumes a time-ordered event stream — arrivals plus
 // cancellations/preemptions — and commits each job to a machine; the
 // resulting Schedule is index-compatible with the originating Instance, so
 // offline cost accounting, validation and the Observation 2.1 bounds all
@@ -25,15 +25,13 @@
 // are ever placed.
 //
 // Each policy is a final class over PolicyScheduler<Policy>, whose
-// on_arrival/on_cancel run the shared event steps and then call the
-// policy's handle/handle_cancel directly.  The stream driver's replay loop
-// is a template over the final class, so an event costs no virtual call;
-// the virtual interface below serves callers that pick a policy at run
-// time (make_scheduler).
+// on_arrival/on_cancel/flush run the shared event steps and then call the
+// policy's handle/handle_cancel/handle_flush directly.  The stream driver's
+// replay loop is a template over the final class, so no event takes a
+// virtual call.
 #pragma once
 
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,7 +42,7 @@
 
 namespace busytime {
 
-/// Which online policy to run (reporting + factory).
+/// Which online policy to run (replay_stream picks the class by it).
 enum class OnlinePolicy { kFirstFit, kBestFit, kEpochHybrid };
 
 std::string to_string(OnlinePolicy policy);
@@ -58,31 +56,12 @@ struct PolicyParams {
   int max_batch = 4096;
 };
 
+/// The state and event steps every policy shares: the machine pool, the
+/// schedule, the stream's order check and the retraction marks.  The event
+/// entry points live in PolicyScheduler<Policy>, so every call reaches the
+/// policy's own steps.
 class OnlineScheduler {
  public:
-  virtual ~OnlineScheduler() = default;
-
-  /// Feeds the next arrival.  Event times must be non-decreasing across
-  /// on_arrival/on_cancel calls; out-of-order events throw
-  /// std::invalid_argument.  `id` indexes the job in the originating
-  /// instance (ids may arrive in any order as long as times are monotone).
-  virtual void on_arrival(JobId id, const Job& job) = 0;
-
-  /// Feeds a cancellation (preempt = false) or preemption (preempt = true):
-  /// job `id` — which previously arrived as `job` — stops at `at`, its
-  /// remaining run is retracted, and the uncovered busy tail is refunded.
-  /// `job` must be the job exactly as it arrived: the epoch hybrid finds a
-  /// pending job by its start, and every policy reads its completion.
-  /// Events outside the job's run (at <= start, at >= completion, or a
-  /// second retraction) are counted as ignored.  `at` must be monotone with
-  /// the other events.
-  virtual void on_cancel(JobId id, const Job& job, Time at,
-                         bool preempt = false) = 0;
-
-  /// Commits any deferred jobs (no-op for the pure greedy policies).  Must
-  /// be called once after the last event before reading the schedule.
-  virtual void flush() {}
-
   /// Advances the pool clock without an arrival: retires completed jobs and
   /// closes idle machines, exactly as the next arrival's implicit advance
   /// would.  The sharded stream driver uses this to finalize a shard so its
@@ -94,8 +73,6 @@ class OnlineScheduler {
   /// grows it (the retraction marks follow at the first retraction).
   void presize(std::size_t jobs) { schedule_.ensure_size(jobs); }
 
-  virtual std::string name() const = 0;
-
   const Schedule& schedule() const noexcept { return schedule_; }
   /// Moves the schedule out; the scheduler is spent afterwards.
   Schedule take_schedule() noexcept { return std::move(schedule_); }
@@ -104,6 +81,7 @@ class OnlineScheduler {
 
  protected:
   explicit OnlineScheduler(int g) : pool_(g) {}
+  ~OnlineScheduler() = default;
 
   /// The event steps every policy shares.  begin_arrival checks the order,
   /// sizes the schedule for `id` and advances the pool to the job's start.
@@ -154,21 +132,37 @@ class OnlineScheduler {
 
 /// The event entry points of policy `Policy` (a final class deriving from
 /// PolicyScheduler<Policy>): the shared steps, then the policy's own
-/// handle(id, job) and handle_cancel(id, job, at, preempt), called
-/// directly.  A policy that defers nothing inherits handle_cancel, which
-/// truncates the placed job.
+/// handle(id, job), handle_cancel(id, job, at, preempt) and handle_flush(),
+/// called directly.  A policy that defers nothing inherits handle_cancel,
+/// which truncates the placed job, and the no-op handle_flush.
 template <class Policy>
 class PolicyScheduler : public OnlineScheduler {
  public:
-  void on_arrival(JobId id, const Job& job) final {
+  /// Feeds the next arrival.  Event times must be non-decreasing across
+  /// on_arrival/on_cancel calls; out-of-order events throw
+  /// std::invalid_argument.  `id` indexes the job in the originating
+  /// instance (ids may arrive in any order as long as times are monotone).
+  void on_arrival(JobId id, const Job& job) {
     begin_arrival(id, job);
     self().handle(id, job);
   }
 
-  void on_cancel(JobId id, const Job& job, Time at, bool preempt = false) final {
+  /// Feeds a cancellation (preempt = false) or preemption (preempt = true):
+  /// job `id` — which previously arrived as `job` — stops at `at`, its
+  /// remaining run is retracted, and the uncovered busy tail is refunded.
+  /// `job` must be the job exactly as it arrived: the epoch hybrid finds a
+  /// pending job by its start, and every policy reads its completion.
+  /// Events outside the job's run (at <= start, at >= completion, or a
+  /// second retraction) are counted as ignored.  `at` must be monotone with
+  /// the other events.
+  void on_cancel(JobId id, const Job& job, Time at, bool preempt = false) {
     if (begin_cancel(id, job, at, preempt))
       end_cancel(id, self().handle_cancel(id, job, at, preempt));
   }
+
+  /// Commits any deferred jobs (the epoch hybrid's pending batch).  Must be
+  /// called once after the last event before reading the schedule.
+  void flush() { self().handle_flush(); }
 
  protected:
   using OnlineScheduler::OnlineScheduler;
@@ -176,6 +170,7 @@ class PolicyScheduler : public OnlineScheduler {
   bool handle_cancel(JobId id, const Job& job, Time /*at*/, bool preempt) {
     return truncate_placed(id, job, preempt);
   }
+  void handle_flush() {}
 
  private:
   Policy& self() { return static_cast<Policy&>(*this); }
@@ -186,7 +181,6 @@ class OnlineFirstFit final : public PolicyScheduler<OnlineFirstFit> {
  public:
   explicit OnlineFirstFit(int g, const PolicyParams& /*unused*/ = {})
       : PolicyScheduler(g) {}
-  std::string name() const override { return to_string(OnlinePolicy::kFirstFit); }
 
  private:
   friend class PolicyScheduler<OnlineFirstFit>;
@@ -204,7 +198,6 @@ class OnlineBestFit final : public PolicyScheduler<OnlineBestFit> {
  public:
   explicit OnlineBestFit(int g, const PolicyParams& /*unused*/ = {})
       : PolicyScheduler(g) {}
-  std::string name() const override { return to_string(OnlinePolicy::kBestFit); }
 
  private:
   friend class PolicyScheduler<OnlineBestFit>;
@@ -222,8 +215,5 @@ class OnlineBestFit final : public PolicyScheduler<OnlineBestFit> {
     commit(id, best != nullptr ? *best : pool_.open_machine(), job);
   }
 };
-
-std::unique_ptr<OnlineScheduler> make_scheduler(OnlinePolicy policy, int g,
-                                                const PolicyParams& params = {});
 
 }  // namespace busytime

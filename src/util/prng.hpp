@@ -75,11 +75,6 @@ class Rng {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform real in [lo, hi).
-  double uniform_real(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform01();
-  }
-
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform01() < p; }
 

@@ -19,21 +19,4 @@ RectInstance gen_rects(const RectGenParams& p) {
   return RectInstance(std::move(jobs), p.g);
 }
 
-RectInstance gen_periodic_jobs(const RectGenParams& p, Time day_quantum) {
-  assert(day_quantum >= 1);
-  Rng rng(p.seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<Rect> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
-  for (int i = 0; i < p.n; ++i) {
-    // Dimension 1 snapped to whole "days".
-    const Time s1 = rng.uniform_int(0, p.horizon1 / day_quantum) * day_quantum;
-    const Time days =
-        std::max<Time>(1, rng.uniform_int(p.min_len1, p.max_len1) / day_quantum) *
-        day_quantum;
-    const Time s2 = rng.uniform_int(0, p.horizon2);
-    jobs.emplace_back(s1, s1 + days, s2, s2 + rng.uniform_int(p.min_len2, p.max_len2));
-  }
-  return RectInstance(std::move(jobs), p.g);
-}
-
 }  // namespace busytime

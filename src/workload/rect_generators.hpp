@@ -21,9 +21,4 @@ struct RectGenParams {
 /// Uniformly random rectangles.
 RectInstance gen_rects(const RectGenParams& p);
 
-/// "Periodic jobs" flavor: dimension 1 = day range, dimension 2 = daily time
-/// window (the paper's motivating 2-D example); same distribution but with
-/// day-granular dimension-1 coordinates.
-RectInstance gen_periodic_jobs(const RectGenParams& p, Time day_quantum = 10);
-
 }  // namespace busytime

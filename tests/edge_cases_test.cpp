@@ -3,6 +3,9 @@
 // and the paper's own corner conventions.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "algo/best_cut.hpp"
 #include "algo/clique_matching.hpp"
 #include "algo/clique_setcover.hpp"
@@ -66,6 +69,23 @@ TEST(EdgeCases, GEqualsOneNeverShares) {
   const Time opt = exact_minbusy_cost(inst).value();
   EXPECT_EQ(opt, 30);
   EXPECT_EQ(solve_first_fit(inst).cost(inst), 30);
+}
+
+// g < 1 is no instance: the constructor throws in every build, naming g,
+// instead of leaving FirstFit's grid rule to divide by zero or a greedy
+// policy to report a negative lower bound.
+TEST(EdgeCases, InstanceRejectsCapacityBelowOne) {
+  for (const int g : {0, -2}) {
+    try {
+      const Instance inst({Job(0, 10)}, g);
+      ADD_FAILURE() << "g=" << g << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "instance capacity g must be >= 1, got " + std::to_string(g));
+    }
+    EXPECT_THROW(Instance({}, g), std::invalid_argument);
+  }
+  EXPECT_EQ(Instance({Job(0, 10)}, 1).g(), 1);
 }
 
 // -------------------------------------------------------------- duplicates

@@ -1,12 +1,11 @@
-// Tests for the interval-graph substrate: sweepline, explicit graph,
-// coloring (threads of execution).
-#include "intervalgraph/interval_graph.hpp"
+// Tests for the sweepline primitives over half-open intervals.
+#include "intervalgraph/sweepline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
-#include "intervalgraph/sweepline.hpp"
 #include "util/prng.hpp"
 
 namespace busytime {
@@ -34,67 +33,10 @@ TEST(Sweepline, WeightedOverlap) {
   EXPECT_EQ(peak_weighted_overlap(ivs, w).weight, 111);  // at time in [4,6)
 }
 
-TEST(Sweepline, OverlapProfileStepFunction) {
-  const auto profile = overlap_profile({{0, 4}, {2, 6}});
-  // Levels: [0,2):1, [2,4):2, [4,6):1, [6,inf):0.
-  ASSERT_EQ(profile.breakpoints.size(), 4u);
-  EXPECT_EQ(profile.breakpoints, (std::vector<Time>{0, 2, 4, 6}));
-  EXPECT_EQ(profile.counts, (std::vector<int>{1, 2, 1, 0}));
-}
-
-TEST(Sweepline, ProfileSkipsRedundantBreakpoints) {
-  // Two touching intervals produce a flat level-1 stretch.
-  const auto profile = overlap_profile({{0, 3}, {3, 6}});
-  EXPECT_EQ(profile.breakpoints, (std::vector<Time>{0, 6}));
-  EXPECT_EQ(profile.counts, (std::vector<int>{1, 0}));
-}
-
-TEST(IntervalGraph, EdgesAreOverlapsWithLengthWeights) {
-  const Instance inst({Job(0, 4), Job(2, 6), Job(5, 9), Job(20, 22)}, 2);
-  const IntervalGraph graph(inst);
-  ASSERT_EQ(graph.edge_count(), 2u);
-  // Edge 0-1 with weight 2 ([2,4)), edge 1-2 with weight 1 ([5,6)).
-  for (const auto& e : graph.edges()) {
-    if (e.a == 0) {
-      EXPECT_EQ(e.b, 1);
-      EXPECT_EQ(e.weight, 2);
-    } else {
-      EXPECT_EQ(e.a, 1);
-      EXPECT_EQ(e.b, 2);
-      EXPECT_EQ(e.weight, 1);
-    }
-  }
-  EXPECT_TRUE(graph.adjacent(0, 1));
-  EXPECT_TRUE(graph.adjacent(1, 0));
-  EXPECT_FALSE(graph.adjacent(0, 2));
-  EXPECT_TRUE(graph.neighbors(3).empty());
-}
-
-TEST(IntervalGraph, MatchesBruteForceOnRandomInstances) {
-  Rng rng(555);
-  for (int rep = 0; rep < 100; ++rep) {
-    const int n = static_cast<int>(rng.uniform_int(1, 15));
-    std::vector<Job> jobs;
-    for (int i = 0; i < n; ++i) {
-      const Time s = rng.uniform_int(0, 30);
-      jobs.emplace_back(s, s + rng.uniform_int(1, 10));
-    }
-    const Instance inst(std::move(jobs), 2);
-    const IntervalGraph graph(inst);
-    std::size_t brute_edges = 0;
-    for (int a = 0; a < n; ++a)
-      for (int b = a + 1; b < n; ++b) {
-        const bool overlap =
-            inst.jobs()[static_cast<std::size_t>(a)].interval.overlaps(
-                inst.jobs()[static_cast<std::size_t>(b)].interval);
-        brute_edges += overlap;
-        EXPECT_EQ(graph.adjacent(a, b), overlap);
-      }
-    EXPECT_EQ(graph.edge_count(), brute_edges);
-  }
-}
-
-TEST(Coloring, ChiEqualsOmegaOnIntervalGraphs) {
+// peak_overlap is the clique number ω that validity checks against g: on
+// random sets it equals the largest count of intervals holding a start
+// point (a peak is always attained at some interval's start).
+TEST(Sweepline, PeakMatchesBruteForceOnRandomIntervals) {
   Rng rng(3141);
   for (int rep = 0; rep < 200; ++rep) {
     const int n = static_cast<int>(rng.uniform_int(1, 25));
@@ -103,23 +45,13 @@ TEST(Coloring, ChiEqualsOmegaOnIntervalGraphs) {
       const Time s = rng.uniform_int(0, 40);
       ivs.push_back({s, s + rng.uniform_int(1, 12)});
     }
-    const auto colors = interval_coloring(ivs);
-    const int chi = chromatic_number(ivs);
-    EXPECT_EQ(chi, peak_overlap(ivs).count);  // perfection of interval graphs
-    // Proper coloring: overlapping intervals never share a color.
-    for (int a = 0; a < n; ++a) {
-      for (int b = a + 1; b < n; ++b) {
-        if (ivs[static_cast<std::size_t>(a)].overlaps(ivs[static_cast<std::size_t>(b)])) {
-          EXPECT_NE(colors[static_cast<std::size_t>(a)],
-                    colors[static_cast<std::size_t>(b)]);
-        }
-      }
+    int brute = 0;
+    for (const auto& at : ivs) {
+      int active = 0;
+      for (const auto& iv : ivs) active += iv.contains_time(at.start);
+      brute = std::max(brute, active);
     }
-    // All colors in range.
-    for (const int c : colors) {
-      EXPECT_GE(c, 0);
-      EXPECT_LT(c, chi);
-    }
+    EXPECT_EQ(peak_overlap(ivs).count, brute) << "rep=" << rep;
   }
 }
 

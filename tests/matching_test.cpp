@@ -6,8 +6,8 @@
 
 #include <vector>
 
-#include "matching/dp_matching.hpp"
 #include "matching/greedy_matching.hpp"
+#include "support/dp_matching.hpp"
 #include "util/prng.hpp"
 
 namespace busytime {

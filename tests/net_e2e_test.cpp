@@ -13,13 +13,20 @@
 // built.  Only configs with neither (the examples-off TSan job) skip.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -47,11 +54,12 @@ std::string cli_path() {
 
 /// `busytime_cli serve --listen=0` as a child process.  The parent reads
 /// the child's "listening on HOST:PORT" line to learn the ephemeral port.
+/// A nonzero `max_fds` lowers the child's descriptor limit before exec.
 struct ChildServer {
   pid_t pid = -1;
   std::uint16_t port = 0;
 
-  explicit ChildServer(const std::string& cli) {
+  explicit ChildServer(const std::string& cli, rlim_t max_fds = 0) {
     int out[2];
     if (::pipe(out) != 0) return;
     pid = ::fork();
@@ -60,6 +68,10 @@ struct ChildServer {
       ::dup2(out[1], STDOUT_FILENO);
       ::close(out[0]);
       ::close(out[1]);
+      if (max_fds > 0) {
+        const rlimit limit{max_fds, max_fds};
+        ::setrlimit(RLIMIT_NOFILE, &limit);
+      }
       ::execl(cli.c_str(), cli.c_str(), "serve", "--listen=0",
               "--workers=2", static_cast<char*>(nullptr));
       std::perror("execl busytime_cli");
@@ -106,6 +118,26 @@ struct ChildServer {
 
   int stdout_fd = -1;
 };
+
+/// User plus system CPU time process `pid` has used, in seconds, from
+/// /proc/<pid>/stat; negative when it cannot be read.
+double cpu_seconds(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  const std::string stat{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  // The command name (field 2) may hold spaces; fields 3.. follow its ')'.
+  const auto paren = stat.rfind(')');
+  if (paren == std::string::npos) return -1.0;
+  std::istringstream fields(stat.substr(paren + 1));
+  std::string skipped;
+  for (int field = 3; field < 14; ++field) fields >> skipped;
+  long long utime = -1;
+  long long stime = -1;
+  fields >> utime >> stime;
+  if (!fields) return -1.0;
+  return static_cast<double>(utime + stime) /
+         static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
 
 /// Wire encoding with wall_ms zeroed: equal strings == bit-identical
 /// results in every field the protocol carries.
@@ -185,6 +217,38 @@ TEST(NetE2E, RemoteResultsMatchInProcessBitForBit) {
   child.shutdown_and_reap();
 }
 
+// A server out of descriptors leaves its backlog queued without spinning:
+// accept() fails with EMFILE while the listener stays readable, so the
+// reactor must stop polling it until a connection closes.  Once the
+// clients go, the server accepts again and answers.
+TEST(NetE2E, OutOfDescriptorsDoesNotSpinTheReactor) {
+  const std::string cli = cli_path();
+  if (cli.empty())
+    GTEST_SKIP() << "busytime_cli not built in this configuration and "
+                    "BUSYTIME_CLI_PATH is not set";
+  ChildServer child(cli, /*max_fds=*/24);
+  ASSERT_GT(child.port, 0) << "failed to spawn or handshake with the server";
+
+  // 40 connections against a 24-descriptor table: the server accepts what
+  // fits and the rest wait in the listen backlog.
+  std::vector<std::unique_ptr<net::Client>> clients;
+  for (int i = 0; i < 40; ++i)
+    clients.push_back(std::make_unique<net::Client>("127.0.0.1", child.port));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const double before = cpu_seconds(child.pid);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double after = cpu_seconds(child.pid);
+  ASSERT_GE(before, 0.0) << "cannot read /proc/" << child.pid << "/stat";
+  EXPECT_LT(after - before, 0.2) << "the reactor spins on a full fd table";
+
+  clients.clear();
+  {
+    net::Client probe("127.0.0.1", child.port);
+    EXPECT_NO_THROW(probe.ping());
+  }
+  child.shutdown_and_reap();
+}
 
 }  // namespace
 }  // namespace busytime

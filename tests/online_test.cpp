@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "core/bounds.hpp"
@@ -25,6 +26,18 @@ Instance small_trace(std::uint64_t seed, int n = 300, int g = 4) {
 
 constexpr OnlinePolicy kAllPolicies[] = {
     OnlinePolicy::kFirstFit, OnlinePolicy::kBestFit, OnlinePolicy::kEpochHybrid};
+
+/// Calls body(policy, sched) with a fresh scheduler of each policy class at
+/// capacity g, the classes the stream driver's replay loop runs.
+template <class Body>
+void for_each_policy(int g, Body&& body) {
+  OnlineFirstFit first_fit(g);
+  body(OnlinePolicy::kFirstFit, first_fit);
+  OnlineBestFit best_fit(g);
+  body(OnlinePolicy::kBestFit, best_fit);
+  EpochHybrid hybrid(g, PolicyParams{});
+  body(OnlinePolicy::kEpochHybrid, hybrid);
+}
 
 // ------------------------------------------------------------ machine pool
 
@@ -83,22 +96,21 @@ TEST(OnlineScheduler, RejectsOutOfOrderArrivals) {
 // is always >= the start of every job already assigned.
 TEST(OnlineScheduler, NeverAssignsBeforeArrival) {
   const Instance trace = small_trace(12);
-  for (const OnlinePolicy policy : kAllPolicies) {
-    auto sched = make_scheduler(policy, trace.g());
+  for_each_policy(trace.g(), [&](OnlinePolicy policy, auto& sched) {
     for (const JobId id : trace.ids_by_start()) {
-      sched->on_arrival(id, trace.job(id));
-      const Schedule& s = sched->schedule();
+      sched.on_arrival(id, trace.job(id));
+      const Schedule& s = sched.schedule();
       for (std::size_t j = 0; j < s.size(); ++j) {
         if (!s.is_scheduled(static_cast<JobId>(j))) continue;
-        EXPECT_LE(trace.job(static_cast<JobId>(j)).start(), sched->stats().clock)
+        EXPECT_LE(trace.job(static_cast<JobId>(j)).start(), sched.stats().clock)
             << to_string(policy);
       }
     }
-    sched->flush();
+    sched.flush();
     // After flush the schedule is full.
     for (std::size_t j = 0; j < trace.size(); ++j)
-      EXPECT_TRUE(sched->schedule().is_scheduled(static_cast<JobId>(j)));
-  }
+      EXPECT_TRUE(sched.schedule().is_scheduled(static_cast<JobId>(j)));
+  });
 }
 
 // ------------------------------------------------- feasibility + accounting
@@ -107,22 +119,21 @@ TEST(OnlineScheduler, SchedulesAreValidAndCostMatchesIncrementalAccounting) {
   for (const std::uint64_t seed : {1u, 7u, 99u}) {
     for (const int g : {1, 2, 8}) {
       const Instance trace = small_trace(seed, 400, g);
-      for (const OnlinePolicy policy : kAllPolicies) {
-        auto sched = make_scheduler(policy, trace.g());
+      for_each_policy(trace.g(), [&](OnlinePolicy policy, auto& sched) {
         for (const JobId id : trace.ids_by_start())
-          sched->on_arrival(id, trace.job(id));
-        sched->flush();
-        EXPECT_EQ(find_violation(trace, sched->schedule()), std::nullopt)
+          sched.on_arrival(id, trace.job(id));
+        sched.flush();
+        EXPECT_EQ(find_violation(trace, sched.schedule()), std::nullopt)
             << to_string(policy) << " seed=" << seed << " g=" << g;
         // The incrementally maintained busy time equals the offline
         // recomputation of cost(s) — the engine never drifts.
-        EXPECT_EQ(sched->stats().online_cost, sched->schedule().cost(trace))
+        EXPECT_EQ(sched.stats().online_cost, sched.schedule().cost(trace))
             << to_string(policy) << " seed=" << seed << " g=" << g;
-        EXPECT_EQ(sched->stats().jobs_assigned,
+        EXPECT_EQ(sched.stats().jobs_assigned,
                   static_cast<std::int64_t>(trace.size()));
-        EXPECT_EQ(sched->stats().machines_opened,
-                  sched->stats().machines_closed + sched->stats().open_machines);
-      }
+        EXPECT_EQ(sched.stats().machines_opened,
+                  sched.stats().machines_closed + sched.stats().open_machines);
+      });
     }
   }
 }
@@ -160,23 +171,26 @@ TEST(EpochHybrid, BatchCapForcesFlushAndStaysValid) {
 // ------------------------------------------------------------- determinism
 
 TEST(OnlineScheduler, DeterministicUnderFixedSeed) {
+  const Instance a = small_trace(2012);
+  const Instance b = small_trace(2012);
   for (const OnlinePolicy policy : kAllPolicies) {
-    const Instance a = small_trace(2012);
-    const Instance b = small_trace(2012);
     const ReplayResult ra = replay_stream(a, policy, {});
     const ReplayResult rb = replay_stream(b, policy, {});
     EXPECT_EQ(ra.stats.online_cost, rb.stats.online_cost) << to_string(policy);
     EXPECT_EQ(ra.stats.machines_opened, rb.stats.machines_opened);
-
-    auto sa = make_scheduler(policy, a.g());
-    auto sb = make_scheduler(policy, b.g());
-    for (const JobId id : a.ids_by_start()) sa->on_arrival(id, a.job(id));
-    for (const JobId id : b.ids_by_start()) sb->on_arrival(id, b.job(id));
-    sa->flush();
-    sb->flush();
-    EXPECT_EQ(sa->schedule().assignment(), sb->schedule().assignment())
-        << to_string(policy);
   }
+
+  // Each policy class fed arrivals by hand, twice, assigns identically.
+  const auto assignments = [](const Instance& trace) {
+    std::vector<std::vector<MachineId>> out;
+    for_each_policy(trace.g(), [&](OnlinePolicy, auto& sched) {
+      for (const JobId id : trace.ids_by_start()) sched.on_arrival(id, trace.job(id));
+      sched.flush();
+      out.push_back(sched.schedule().assignment());
+    });
+    return out;
+  };
+  EXPECT_EQ(assignments(a), assignments(b));
 }
 
 // ----------------------------------------------------- online-vs-offline

@@ -258,16 +258,5 @@ TEST(Fig3, RatioApproachesSixGammaPlusThree) {
   }
 }
 
-TEST(PeriodicJobsGenerator, DayQuantization) {
-  RectGenParams p;
-  p.n = 40;
-  p.seed = 2;
-  const RectInstance inst = gen_periodic_jobs(p, 10);
-  for (const auto& r : inst.jobs()) {
-    EXPECT_EQ(r.dim1.start % 10, 0);
-    EXPECT_EQ(r.len1() % 10, 0);
-  }
-}
-
 }  // namespace
 }  // namespace busytime

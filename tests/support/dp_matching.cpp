@@ -1,4 +1,4 @@
-#include "matching/dp_matching.hpp"
+#include "support/dp_matching.hpp"
 
 #include <cassert>
 #include <cstdint>

@@ -1,7 +1,8 @@
-// Exact maximum-weight matching by bitmask dynamic programming.
+// Exact maximum-weight matching by bitmask dynamic programming, linked by
+// the tests (not part of libbusytime).
 //
-// O(2^n * n) time — the reference oracle used by the tests to validate the
-// blossom implementation, and a fallback for tiny graphs.
+// O(2^n * n) time — the reference oracle the blossom implementation is
+// checked against.
 #pragma once
 
 #include <vector>

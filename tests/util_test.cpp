@@ -5,9 +5,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "../bench/stats.hpp"
 #include "util/flags.hpp"
 #include "util/prng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace busytime {
