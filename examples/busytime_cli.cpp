@@ -90,8 +90,10 @@
 // Instance families: general, clique, proper, proper_clique, one_sided,
 // trace.
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "api/registry.hpp"
@@ -139,8 +141,9 @@ int usage() {
 
 Instance generate_base(const Flags& flags) {
   GenParams p;
-  p.n = static_cast<int>(flags.get_int("n", 50));
-  p.g = static_cast<int>(flags.get_int("g", 4));
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  p.n = static_cast<int>(flags.get_int_in("n", 50, 0, kIntMax));
+  p.g = static_cast<int>(flags.get_int_in("g", 4, 1, kIntMax));
   p.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string family = flags.get("family", "general");
   if (family == "clique") return gen_clique(p);

@@ -12,6 +12,21 @@
 
 namespace busytime {
 
+const SolverInfo& solve_component(const std::vector<const SolverInfo*>& candidates,
+                                  const Instance& sub, const InstanceClass& cls,
+                                  Schedule& schedule) {
+  for (const SolverInfo* info : candidates) {
+    if (!info->is_applicable(sub, cls)) continue;
+    SolverSpec spec;
+    spec.name = info->name;
+    schedule = info->run(sub, spec).schedule;
+    return *info;
+  }
+  // first_fit registers with an always-true predicate, so this is
+  // unreachable unless the registry was emptied.
+  throw std::logic_error("no dispatchable solver applies to " + sub.summary());
+}
+
 DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
                                   const RequestContext* context) {
   // Resolve the registry before fanning out: registration is not expected
@@ -42,31 +57,21 @@ DispatchResult solve_minbusy_auto(const InstanceView& view, int threads,
     // remaining components and rethrows), never a running solver.
     if (context != nullptr) context->check();
     const Instance& sub = view.component_instance(i);
-    const InstanceClass& cls = view.component_class(i);
     const auto c0 = std::chrono::steady_clock::now();
-    for (const SolverInfo* info : candidates) {
-      if (!info->is_applicable(sub, cls)) continue;
-      SolverSpec spec;
-      spec.name = info->name;
-      SolveResult r = info->run(sub, spec);
-      parts[i] = std::move(r.schedule);
-      names[i] = info->name;
-      const auto c1 = std::chrono::steady_clock::now();
-      if (metrics != nullptr) {
-        metrics->record<obs::metric::kSolveComponentJobs>(sub.size());
-        metrics->record<obs::metric::kSolveComponentSolveUs>(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(c1 - c0)
-                    .count()));
-      }
-      if (spans != nullptr)
-        spans->add("component:" + info->name, dispatch_span.id(), c0, c1,
-                   static_cast<std::int64_t>(sub.size()));
-      return;
+    const SolverInfo& info =
+        solve_component(candidates, sub, view.component_class(i), parts[i]);
+    names[i] = info.name;
+    const auto c1 = std::chrono::steady_clock::now();
+    if (metrics != nullptr) {
+      metrics->record<obs::metric::kSolveComponentJobs>(sub.size());
+      metrics->record<obs::metric::kSolveComponentSolveUs>(
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(c1 - c0)
+                  .count()));
     }
-    // first_fit registers with an always-true predicate, so this is
-    // unreachable unless the registry was emptied.
-    throw std::logic_error("no dispatchable solver applies to " + sub.summary());
+    if (spans != nullptr)
+      spans->add("component:" + info.name, dispatch_span.id(), c0, c1,
+                 static_cast<std::int64_t>(sub.size()));
   });
 
   DispatchResult result;

@@ -26,7 +26,9 @@
 namespace busytime {
 
 class InstanceView;
+struct InstanceClass;
 struct RequestContext;
+struct SolverInfo;
 
 struct DispatchResult {
   Schedule schedule;
@@ -35,6 +37,16 @@ struct DispatchResult {
   /// Jobs per component, aligned with `names`.
   std::vector<std::size_t> component_jobs;
 };
+
+/// The dispatcher's per-component step: the first of `candidates`
+/// (SolverRegistry::dispatchable(), strongest first) whose predicate
+/// accepts the component `sub`, classified once as `cls`, solves it.
+/// Returns that solver; the component's schedule, over sub's job ids,
+/// lands in `schedule`.  solve_minbusy_auto runs it on each component of a
+/// view, and the epoch hybrid on each component of its batch.
+const SolverInfo& solve_component(const std::vector<const SolverInfo*>& candidates,
+                                  const Instance& sub, const InstanceClass& cls,
+                                  Schedule& schedule);
 
 /// Solves MinBusy with the best applicable registered solver per component.
 /// Components are classified once (core/classify shared by every candidate

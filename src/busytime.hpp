@@ -100,5 +100,6 @@
 #include "viz/gantt.hpp"
 #include "workload/cancellable.hpp"
 #include "workload/generators.hpp"
+#include "workload/job_count.hpp"
 #include "workload/rect_generators.hpp"
 #include "workload/trace.hpp"

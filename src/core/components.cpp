@@ -7,24 +7,11 @@ namespace busytime {
 std::vector<std::size_t> component_bounds(const Instance& inst) {
   std::vector<std::size_t> bounds{0};
   const auto& ids = inst.ids_by_start();
-  if (ids.empty()) return bounds;
-
-  // Sweep in start order: a job overlapping the running frontier
-  // (max completion so far) joins the current component.  Strict inequality:
-  // a job starting exactly at the frontier only touches it and starts a new
-  // component.
   const std::vector<Job>& jobs = inst.jobs();
-  Time frontier = jobs[static_cast<std::size_t>(ids.front())].completion();
-  for (std::size_t k = 1; k < ids.size(); ++k) {
-    const Interval& iv = jobs[static_cast<std::size_t>(ids[k])].interval;
-    if (iv.start < frontier) {
-      frontier = std::max(frontier, iv.completion);
-    } else {
-      bounds.push_back(k);
-      frontier = iv.completion;
-    }
-  }
-  bounds.push_back(ids.size());
+  for_each_component(
+      ids.size(),
+      [&](std::size_t k) -> const Job& { return jobs[static_cast<std::size_t>(ids[k])]; },
+      [&](std::size_t, std::size_t hi) { bounds.push_back(hi); });
   return bounds;
 }
 

@@ -5,6 +5,7 @@
 // component and the costs add.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -14,6 +15,33 @@
 #include "exec/thread_pool.hpp"
 
 namespace busytime {
+
+/// The sweep that cuts jobs into connected components: `count` jobs,
+/// job_at(0) .. job_at(count - 1), in non-decreasing start order.  A job
+/// starting before the running frontier (the greatest completion so far)
+/// joins the open component; one starting at or after it only touches it
+/// and opens the next.  Calls on_component(lo, hi) for each component
+/// [lo, hi) in order.  Equal starts overlap, so no cut falls inside a run
+/// of them, and the cuts do not depend on the order within a run.
+/// component_bounds sweeps an instance's start order this way, and the
+/// epoch hybrid its batch in arrival order.
+template <class JobAt, class OnComponent>
+void for_each_component(std::size_t count, const JobAt& job_at, OnComponent&& on_component) {
+  if (count == 0) return;
+  std::size_t lo = 0;
+  Time frontier = job_at(0).completion();
+  for (std::size_t k = 1; k < count; ++k) {
+    const Job& job = job_at(k);
+    if (job.start() < frontier) {
+      frontier = std::max(frontier, job.completion());
+      continue;
+    }
+    on_component(lo, k);
+    lo = k;
+    frontier = job.completion();
+  }
+  on_component(lo, count);
+}
 
 /// The connected components of the interval graph as one cut of the start
 /// order, from one sweep over it: component i is the run

@@ -53,55 +53,23 @@ Instance& Instance::operator=(Instance&& other) noexcept {
 
 namespace {
 
-/// Job ids by non-increasing length, ties by ascending id: a stable LSD
-/// radix sort over 11-bit digits of the length.  Each item packs
-/// (length << 32) | id; ids enter in ascending order and every pass is
-/// stable, so equal lengths keep id order.  Digit d goes to bucket
-/// kBuckets - 1 - d, which makes each pass (and so the whole sort)
-/// descending.  Requires every length in [0, 2^31).
-std::vector<JobId> radix_ids_by_length_desc(const std::vector<Job>& jobs,
-                                            Time max_length) {
-  constexpr int kDigitBits = 11;
-  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-  constexpr std::uint64_t kDigitMask = kBuckets - 1;
-  const std::size_t n = jobs.size();
-  std::vector<std::uint64_t> items(n), scratch(n);
-  for (std::size_t i = 0; i < n; ++i)
-    items[i] = (static_cast<std::uint64_t>(jobs[i].length()) << 32) | i;
-  std::vector<std::uint32_t> offset(kBuckets);
-  for (int digit = 0; (max_length >> digit) != 0; digit += kDigitBits) {
-    const int shift = 32 + digit;
-    std::fill(offset.begin(), offset.end(), 0);
-    for (const std::uint64_t item : items)
-      ++offset[kDigitMask - ((item >> shift) & kDigitMask)];
-    std::uint32_t sum = 0;
-    for (std::uint32_t& slot : offset) sum += std::exchange(slot, sum);
-    for (const std::uint64_t item : items)
-      scratch[offset[kDigitMask - ((item >> shift) & kDigitMask)]++] = item;
-    items.swap(scratch);
-  }
-  std::vector<JobId> ids(n);
-  for (std::size_t k = 0; k < n; ++k)
-    ids[k] = static_cast<JobId>(items[k] & 0xFFFFFFFFu);
-  return ids;
-}
-
-/// Orders `count` ids of one short run of equal starts, given in ascending
-/// id order, by (completion, id): an insertion sort, stable, so equal
-/// completions keep id order.  Runs in a trace hold a few jobs, and this
-/// spares each one a std::sort call.
-void insertion_sort_by_completion(const std::vector<Job>& jobs, JobId* ids,
-                                  std::size_t count) {
-  const auto completion = [&](JobId id) {
-    return jobs[static_cast<std::size_t>(id)].completion();
+/// Job ids by non-increasing length, ties by ascending id: one counting
+/// pass over the lengths max_length - range .. max_length.  Bucket 0 holds
+/// the longest; ids are placed in ascending order, so each bucket keeps id
+/// order.
+std::vector<JobId> counting_ids_by_length_desc(const std::vector<Job>& jobs,
+                                               Time max_length, Time range) {
+  std::vector<std::uint32_t> offset(static_cast<std::size_t>(range) + 1);
+  const auto bucket = [&](const Job& job) {
+    return static_cast<std::size_t>(max_length - job.length());
   };
-  for (std::size_t k = 1; k < count; ++k) {
-    const JobId id = ids[k];
-    const Time c = completion(id);
-    std::size_t slot = k;
-    for (; slot > 0 && completion(ids[slot - 1]) > c; --slot) ids[slot] = ids[slot - 1];
-    ids[slot] = id;
-  }
+  for (const Job& job : jobs) ++offset[bucket(job)];
+  std::uint32_t sum = 0;
+  for (std::uint32_t& slot : offset) sum += std::exchange(slot, sum);
+  std::vector<JobId> ids(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    ids[offset[bucket(jobs[i])]++] = static_cast<JobId>(i);
+  return ids;
 }
 
 }  // namespace
@@ -119,11 +87,13 @@ const std::vector<JobId>& Instance::ids_by_start() const {
     const std::size_t n = jobs_.size();
     std::vector<JobId> ids(n);
     std::iota(ids.begin(), ids.end(), 0);
-    // Traces and epoch batches arrive in start order.  One scan proves it
-    // and orders each run of equal starts by (completion, id) as the run
-    // closes; the first start that goes backwards abandons the scan for a
-    // comparison sort of everything.
-    constexpr std::size_t kInsertionSortMax = 16;
+    // Traces arrive in start order.  One scan proves it and orders each run
+    // of equal starts by (completion, id) as the run closes; the first
+    // start that goes backwards abandons the scan for a comparison sort of
+    // everything.
+    const auto completion = [&](JobId id) {
+      return jobs_[static_cast<std::size_t>(id)].completion();
+    };
     std::size_t lo = 0;  // first job of the current run of equal starts
     for (std::size_t i = 1; i <= n; ++i) {
       if (i < n && jobs_[i].start() == jobs_[lo].start()) continue;
@@ -131,11 +101,7 @@ const std::vector<JobId>& Instance::ids_by_start() const {
         std::sort(ids.begin(), ids.end(), before);
         break;
       }
-      if (i - lo > kInsertionSortMax) {
-        std::sort(ids.begin() + lo, ids.begin() + i, before);
-      } else {
-        insertion_sort_by_completion(jobs_, ids.data() + lo, i - lo);
-      }
+      order_run_by_completion(ids.data() + lo, i - lo, completion);
       lo = i;
     }
     cache.by_start = std::move(ids);
@@ -147,16 +113,21 @@ const std::vector<JobId>& Instance::ids_by_length_desc() const {
   OrderCache& cache = *cache_;
   std::call_once(cache.by_length_once, [&] {
     // The dispatcher pays this order on every fresh component instance of
-    // every solve.  Lengths are positive; when they fit 31 bits (always,
-    // for realistic horizons) a radix sort on the length replaces the
-    // comparison sort.  Below kRadixMinJobs the radix sort's fixed cost of
-    // 2048 buckets per pass is more than the comparison sort's whole cost
-    // (about 2 us against 0.1-2 us for 3-100 jobs).
-    constexpr std::size_t kRadixMinJobs = 256;
-    Time max_length = 0;
-    for (const Job& j : jobs_) max_length = std::max(max_length, j.length());
-    if (jobs_.size() >= kRadixMinJobs && max_length < (Time{1} << 31)) {
-      cache.by_length = radix_ids_by_length_desc(jobs_, max_length);
+    // every solve, and the epoch hybrid on every batch component.  When the
+    // lengths' range is small next to n (a trace's lengths span a few
+    // hundred units), one counting pass over it is the whole sort; a wider
+    // range takes the comparison sort.
+    const std::size_t n = jobs_.size();
+    Time min_length = n > 0 ? jobs_.front().length() : 0;
+    Time max_length = min_length;
+    for (const Job& j : jobs_) {
+      min_length = std::min(min_length, j.length());
+      max_length = std::max(max_length, j.length());
+    }
+    // Lengths are positive, so the range cannot overflow.
+    const Time range = max_length - min_length;
+    if (range < 4 * static_cast<Time>(n) + 64) {
+      cache.by_length = counting_ids_by_length_desc(jobs_, max_length, range);
       return;
     }
     std::vector<JobId> ids(jobs_.size());

@@ -4,6 +4,7 @@
 // with its start order recorded, so no solver scans it again.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -67,8 +68,8 @@ class Instance {
   const std::vector<JobId>& ids_by_start() const;
 
   /// Job ids sorted by non-increasing length, ties by id (FirstFit order).
-  /// A stable radix sort on the length when there are at least 256 jobs
-  /// and every length is below 2^31, else a comparison sort.  Memoized;
+  /// One counting pass over the lengths when max - min length < 4n + 64,
+  /// else a comparison sort; both give the same order.  Memoized;
   /// thread-safe.
   const std::vector<JobId>& ids_by_length_desc() const;
 
@@ -85,8 +86,9 @@ class Instance {
 
   /// An instance whose jobs are already in (start, completion) order, ties
   /// in the order they should keep: its ids_by_start() is the identity and
-  /// is recorded so, without the scan.  InstanceView builds its component
-  /// sub-instances this way; audit builds check the order.
+  /// is recorded so, without the scan.  InstanceView::classified_component
+  /// builds the view's and the epoch hybrid's component sub-instances this
+  /// way; audit builds check the order.
   static Instance in_start_order(std::vector<Job> jobs, int g);
 
   /// Lazily-built sorted-id orders, tied to the job-vector snapshot.
@@ -104,5 +106,33 @@ class Instance {
   /// Never null (see the move operations).
   std::shared_ptr<OrderCache> cache_ = std::make_shared<OrderCache>();
 };
+
+/// Orders one run of equal starts by (completion, id): `ids` holds the
+/// run's `count` ids in ascending order and `completion(id)` reads each
+/// one's completion.  A run of at most 16 takes an insertion sort, stable,
+/// so equal completions keep id order (runs in a trace hold a few jobs,
+/// and this spares each one a std::sort call); a longer run a comparison
+/// sort on (completion, id).  Instance::ids_by_start orders each run of a
+/// start-ordered instance this way, and the epoch hybrid each run of its
+/// batch.
+template <class Id, class CompletionOf>
+void order_run_by_completion(Id* ids, std::size_t count, const CompletionOf& completion) {
+  constexpr std::size_t kInsertionSortMax = 16;
+  if (count > kInsertionSortMax) {
+    std::sort(ids, ids + count, [&](Id a, Id b) {
+      const Time ca = completion(a);
+      const Time cb = completion(b);
+      return ca != cb ? ca < cb : a < b;
+    });
+    return;
+  }
+  for (std::size_t k = 1; k < count; ++k) {
+    const Id id = ids[k];
+    const Time c = completion(id);
+    std::size_t slot = k;
+    for (; slot > 0 && completion(ids[slot - 1]) > c; --slot) ids[slot] = ids[slot - 1];
+    ids[slot] = id;
+  }
+}
 
 }  // namespace busytime

@@ -11,15 +11,18 @@
 // The build touches each job twice after the instance's start order: one
 // sweep of that order cuts the components as runs of it (offsets, no
 // per-component id vectors), and one copy loop per component, in that
-// order, builds the sub-instance, computes its classification on the way,
-// and records its start order as the identity, which it is: the jobs are
+// order (classified_component, which the epoch hybrid's batches share),
+// builds the sub-instance, computes its classification on the way, and
+// records its start order as the identity, which it is: the jobs are
 // copied in (start, completion, id) order and renumbered in that order.
 // Instance::restricted_to and core/classify stay as the oracles the tests
 // compare each component against.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/classify.hpp"
@@ -77,6 +80,17 @@ class InstanceView {
     return classes_[i];
   }
 
+  /// Builds one component sub-instance from its `count` >= 1 jobs,
+  /// job_at(0) .. job_at(count - 1), given in (start, completion) order
+  /// with ties in the order they should keep.  One copy loop reads
+  /// core/classify's three predicates off consecutive jobs into `cls` on
+  /// the way, and the sub-instance's start order is recorded as the
+  /// identity, which it is.  The view builds each component this way, and
+  /// the epoch hybrid each component of its batch.
+  template <class JobAt>
+  static Instance classified_component(std::size_t count, const JobAt& job_at,
+                                       int g, InstanceClass& cls);
+
  private:
   const Instance* inst_;
   const std::vector<JobId>* order_;
@@ -84,5 +98,35 @@ class InstanceView {
   std::vector<Instance> subs_;
   std::vector<InstanceClass> classes_;
 };
+
+template <class JobAt>
+Instance InstanceView::classified_component(std::size_t count, const JobAt& job_at,
+                                            int g, InstanceClass& cls) {
+  std::vector<Job> jobs;
+  jobs.reserve(count);
+  const Job first = job_at(0);
+  Time min_completion = first.completion();
+  bool proper = true;
+  bool same_start = true;
+  bool same_completion = true;
+  jobs.push_back(first);
+  for (std::size_t k = 1; k < count; ++k) {
+    const Job& prev = jobs.back();
+    const Job& job = job_at(k);
+    // Start order makes "no job properly contains another" a property of
+    // neighbours: equal starts need equal completions, later starts
+    // later completions.
+    proper &= job.start() == prev.start() ? job.completion() == prev.completion()
+                                          : job.completion() > prev.completion();
+    same_start &= job.start() == first.start();
+    same_completion &= job.completion() == first.completion();
+    min_completion = std::min(min_completion, job.completion());
+    jobs.push_back(job);
+  }
+  cls.clique = jobs.back().start() < min_completion;  // the latest start
+  cls.proper = proper;
+  cls.one_sided = cls.clique && (same_start || same_completion);
+  return Instance::in_start_order(std::move(jobs), g);
+}
 
 }  // namespace busytime

@@ -1,7 +1,9 @@
 #include "util/flags.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace busytime {
 
@@ -35,6 +37,21 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
 std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+std::int64_t Flags::get_int_in(const std::string& name, std::int64_t fallback,
+                               std::int64_t lo, std::int64_t hi) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < lo || value > hi)
+    throw std::invalid_argument("--" + name + " must be an integer in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) +
+                                "], got '" + text + "'");
+  return value;
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {

@@ -19,6 +19,12 @@ class Flags {
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// The integer flag `name`, or `fallback` when it is absent.  A value
+  /// that is not a whole integer in [lo, hi] throws std::invalid_argument
+  /// naming the flag and the range, so a size flag can neither go negative
+  /// nor wrap when the caller narrows it.
+  std::int64_t get_int_in(const std::string& name, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 

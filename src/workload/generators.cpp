@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "workload/job_count.hpp"
+
 namespace busytime {
 
 namespace {
@@ -19,7 +21,7 @@ Time draw_length(Rng& rng, const GenParams& p) {
 Instance gen_general(const GenParams& p) {
   Rng rng(p.seed);
   std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
+  jobs.reserve(detail::checked_job_count(p.n));
   for (int i = 0; i < p.n; ++i) {
     const Time s = rng.uniform_int(0, p.horizon);
     jobs.emplace_back(s, s + draw_length(rng, p));
@@ -32,7 +34,7 @@ Instance gen_clique(const GenParams& p) {
   // All jobs contain the common time t = horizon/2: start <= t < completion.
   const Time t = p.horizon / 2;
   std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
+  jobs.reserve(detail::checked_job_count(p.n));
   for (int i = 0; i < p.n; ++i) {
     const Time len = draw_length(rng, p);
     // Place the common point uniformly inside the job: offset in [0, len-1]
@@ -49,7 +51,7 @@ Instance gen_proper(const GenParams& p) {
   Rng rng(p.seed);
   // Strictly increasing starts and completions: proper by construction.
   std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
+  jobs.reserve(detail::checked_job_count(p.n));
   Time s = 0;
   Time c = 0;
   for (int i = 0; i < p.n; ++i) {
@@ -66,10 +68,11 @@ Instance gen_proper_clique(const GenParams& p) {
   // Starts strictly increasing in [0, W); completions strictly increasing in
   // (W, ...): every completion exceeds every start => clique; double strict
   // monotonicity => proper.
+  const std::size_t n = detail::checked_job_count(p.n);
   const Time window = std::max<Time>(p.n, p.horizon / 2);
   std::vector<Time> starts, completions;
-  starts.reserve(static_cast<std::size_t>(p.n));
-  completions.reserve(static_cast<std::size_t>(p.n));
+  starts.reserve(n);
+  completions.reserve(n);
   Time s = 0, c = window + 1;
   for (int i = 0; i < p.n; ++i) {
     s += (i == 0) ? rng.uniform_int(0, 3) : rng.uniform_int(1, std::max<Time>(1, window / p.n));
@@ -77,9 +80,9 @@ Instance gen_proper_clique(const GenParams& p) {
     starts.push_back(s);
     completions.push_back(c);
   }
-  assert(starts.back() < completions.front());
+  assert(n == 0 || starts.back() < completions.front());
   std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
+  jobs.reserve(n);
   for (int i = 0; i < p.n; ++i)
     jobs.emplace_back(starts[static_cast<std::size_t>(i)], completions[static_cast<std::size_t>(i)]);
   return Instance(std::move(jobs), p.g);
@@ -88,7 +91,7 @@ Instance gen_proper_clique(const GenParams& p) {
 Instance gen_one_sided(const GenParams& p) {
   Rng rng(p.seed);
   std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
+  jobs.reserve(detail::checked_job_count(p.n));
   for (int i = 0; i < p.n; ++i) jobs.emplace_back(0, draw_length(rng, p));
   return Instance(std::move(jobs), p.g);
 }

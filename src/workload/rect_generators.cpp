@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "workload/job_count.hpp"
+
 namespace busytime {
 
 RectInstance gen_rects(const RectGenParams& p) {
@@ -9,7 +11,7 @@ RectInstance gen_rects(const RectGenParams& p) {
   assert(p.min_len2 >= 1 && p.min_len2 <= p.max_len2);
   Rng rng(p.seed);
   std::vector<Rect> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
+  jobs.reserve(detail::checked_job_count(p.n));
   for (int i = 0; i < p.n; ++i) {
     const Time s1 = rng.uniform_int(0, p.horizon1);
     const Time s2 = rng.uniform_int(0, p.horizon2);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/prng.hpp"
+#include "workload/job_count.hpp"
 
 namespace busytime {
 
@@ -12,7 +13,7 @@ Instance gen_trace(const TraceParams& p) {
   assert(p.arrival_rate > 0 && p.min_duration >= 1 && p.min_duration <= p.max_duration);
   Rng rng(p.seed);
   std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(p.n));
+  jobs.reserve(detail::checked_job_count(p.n));
 
   double clock = 0;
   for (int i = 0; i < p.n; ++i) {

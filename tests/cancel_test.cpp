@@ -19,9 +19,11 @@
 #include "online/epoch_hybrid.hpp"
 #include "online/stream_driver.hpp"
 #include "service/service.hpp"
+#include "support/hybrid_reference.hpp"
 #include "support/online_oracle.hpp"
 #include "util/check.hpp"
 #include "util/fnv.hpp"
+#include "util/prng.hpp"
 #include "workload/cancellable.hpp"
 
 namespace busytime {
@@ -348,6 +350,90 @@ TEST(CancelReplay, EpochHybridMatchesPinnedResults) {
                       OnlinePolicy::kEpochHybrid, params);
     EXPECT_EQ(stats_fields(r.stats), pin.stats) << context;
     EXPECT_EQ(assignment_hash(r.schedule), pin.assignment_hash) << context;
+  }
+}
+
+// Replays `trace` through the hybrid and through the batch-instance
+// reference (support/hybrid_reference), and holds every assignment and
+// every EngineStats field to the reference's.  Returns the hybrid's replay.
+ReplayResult expect_hybrid_matches_reference(const EventTrace& trace,
+                                             const PolicyParams& params,
+                                             const std::string& context) {
+  ReplayResult r = replay_stream(trace, OnlinePolicy::kEpochHybrid, params);
+  const OracleReplay ref = replay_hybrid_reference(trace, params);
+  EXPECT_EQ(r.schedule.assignment(), ref.schedule.assignment()) << context;
+  EXPECT_EQ(stats_fields(r.stats), stats_fields(ref.stats)) << context;
+  return r;
+}
+
+// The hybrid's flush against the batch-instance reference.
+// At 4 arrivals per time unit most batches hold runs of equal starts that
+// pending truncations reorder.  At epoch 4 an untruncated batch is a clique
+// (every job lasts at least 5), so g = 2 and g = 3 take the matching and
+// set-cover routes; max_batch = 7 cuts batches inside an epoch.
+TEST(CancelReplay, EpochHybridMatchesTheBatchInstanceReference) {
+  for (const std::uint64_t seed : {3u, 11u}) {
+    for (const double arrival_rate : {0.5, 4.0}) {
+      for (const int g : {1, 2, 3, 8, 255}) {
+        TraceParams tp;
+        tp.n = 1500;
+        tp.g = g;
+        tp.arrival_rate = arrival_rate;
+        tp.seed = seed;
+        CancelParams cp;
+        cp.cancel_rate = 0.3;
+        cp.seed = seed + 1;
+        const EventTrace trace = gen_cancellable(tp, cp);
+        for (const Time epoch : {4, 16, 1024}) {
+          for (const int max_batch : {7, 4096}) {
+            const std::string context =
+                "seed=" + std::to_string(seed) + " arrivals=" + std::to_string(arrival_rate) +
+                " g=" + std::to_string(g) + " epoch=" + std::to_string(epoch) +
+                " max_batch=" + std::to_string(max_batch);
+            PolicyParams params;
+            params.epoch_length = epoch;
+            params.max_batch = max_batch;
+            expect_hybrid_matches_reference(trace, params, context);
+          }
+        }
+      }
+    }
+  }
+}
+
+// One batch holds a run of 40 equal starts, more than the 16 an insertion
+// sort takes, so the run is ordered by the comparison sort.  Arrivals come
+// in (start, completion, id) order; pending truncations then give the run
+// completions out of arrival order, tied with each other and with
+// untruncated ones.  At epoch 16 that batch is a clique (every job runs
+// over [10, 11)), so g = 1, 2 and 3 route it to the set-cover and
+// matching solvers, which read the run's order; at epoch 1024 one batch
+// holds every job and FirstFit takes the large component.
+TEST(CancelReplay, EpochHybridOrdersALongRunOfEqualStartsLikeTheReference) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    std::vector<Job> jobs = {Job(8, 40), Job(9, 33)};
+    for (int k = 0; k < 40; ++k) jobs.emplace_back(10, rng.uniform_int(30, 38));
+    jobs.emplace_back(29, 60);
+    jobs.emplace_back(70, 80);
+    std::vector<CancelRecord> cancels = {{0, 23, false}};
+    for (int k = 0; k < 40; ++k)
+      if (rng.bernoulli(0.4))
+        cancels.push_back({static_cast<JobId>(2 + k), rng.uniform_int(11, 28), rng.bernoulli(0.5)});
+    for (const int g : {1, 2, 3, 8}) {
+      const EventTrace trace(Instance(jobs, g), cancels);
+      ASSERT_EQ(trace.cancels().size(), cancels.size());
+      for (const Time epoch : {16, 1024}) {
+        const std::string context = "seed=" + std::to_string(seed) + " g=" + std::to_string(g) +
+                                    " epoch=" + std::to_string(epoch);
+        PolicyParams params;
+        params.epoch_length = epoch;
+        const ReplayResult r = expect_hybrid_matches_reference(trace, params, context);
+        EXPECT_EQ(r.stats.jobs_cancelled + r.stats.jobs_preempted,
+                  static_cast<std::int64_t>(cancels.size()))
+            << context;
+      }
+    }
   }
 }
 

@@ -22,6 +22,9 @@
 #include "throughput/clique_tput.hpp"
 #include "throughput/one_sided_tput.hpp"
 #include "throughput/proper_clique_tput_dp.hpp"
+#include "workload/generators.hpp"
+#include "workload/rect_generators.hpp"
+#include "workload/trace.hpp"
 
 namespace busytime {
 namespace {
@@ -86,6 +89,44 @@ TEST(EdgeCases, InstanceRejectsCapacityBelowOne) {
     EXPECT_THROW(Instance({}, g), std::invalid_argument);
   }
   EXPECT_EQ(Instance({Job(0, 10)}, 1).g(), 1);
+}
+
+// Job counts reach the generators straight from command-line flags, so a
+// negative one is an error naming n, not a wrapped reserve.
+TEST(EdgeCases, GeneratorsRejectANegativeJobCount) {
+  const std::string expected = "job count n must be >= 0, got -5";
+  const auto expect_rejected = [&](const char* what, const auto& generate) {
+    try {
+      generate();
+      ADD_FAILURE() << what << " accepted n = -5";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << what;
+    }
+  };
+  GenParams p;
+  p.n = -5;
+  expect_rejected("gen_general", [&] { return gen_general(p); });
+  expect_rejected("gen_clique", [&] { return gen_clique(p); });
+  expect_rejected("gen_proper", [&] { return gen_proper(p); });
+  expect_rejected("gen_proper_clique", [&] { return gen_proper_clique(p); });
+  expect_rejected("gen_one_sided", [&] { return gen_one_sided(p); });
+  TraceParams tp;
+  tp.n = -5;
+  expect_rejected("gen_trace", [&] { return gen_trace(tp); });
+  RectGenParams rp;
+  rp.n = -5;
+  expect_rejected("gen_rects", [&] { return gen_rects(rp); });
+  // n = 0 is an empty instance from every generator.
+  p.n = 0;
+  tp.n = 0;
+  rp.n = 0;
+  EXPECT_TRUE(gen_general(p).empty());
+  EXPECT_TRUE(gen_clique(p).empty());
+  EXPECT_TRUE(gen_proper(p).empty());
+  EXPECT_TRUE(gen_proper_clique(p).empty());
+  EXPECT_TRUE(gen_one_sided(p).empty());
+  EXPECT_TRUE(gen_trace(tp).empty());
+  EXPECT_TRUE(gen_rects(rp).empty());
 }
 
 // -------------------------------------------------------------- duplicates

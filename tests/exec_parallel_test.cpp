@@ -249,7 +249,7 @@ std::vector<Job> sorted_by_start(std::vector<Job> jobs) {
 }
 
 TEST(InstanceCache, MemoizedOrdersMatchAComparatorSortOracle) {
-  // Sizes straddle the radix sort's 256-job threshold.
+  // Sizes from empty to past a trace component's.
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{255}, std::size_t{256}, std::size_t{3000}}) {
     // Unsorted: the scan fails and the comparison sort runs.
@@ -273,15 +273,13 @@ TEST(InstanceCache, MemoizedOrdersMatchAComparatorSortOracle) {
     expect_orders_match_oracle(
         Instance(sorted_by_start(random_jobs(n, -1000000, 300, 900, n + 5)), 3),
         "negative start-ordered");
-    // Lengths needing two and three 11-bit radix passes.
+    // Length ranges too wide for the counting pass.
     expect_orders_match_oracle(Instance(random_jobs(n, 0, 100, Time{1} << 12, n + 6), 3),
                                "lengths >= 2^11");
     expect_orders_match_oracle(Instance(random_jobs(n, 0, 100, Time{1} << 23, n + 7), 3),
                                "lengths >= 2^22");
     if (n == 0) continue;
-    // The longest length the radix sort takes, then lengths it must leave
-    // to the comparison sort: 2^31 and up, and past the 32 bits its packed
-    // items hold for a length.
+    // Lengths just below 2^31, from 2^31 up, and past 32 bits.
     std::vector<Job> wide = random_jobs(n, 0, 100, Time{1} << 23, n + 8);
     wide[n / 2] = Job(5, 5 + (Time{1} << 31) - 1);
     expect_orders_match_oracle(Instance(wide, 3), "length 2^31 - 1");
@@ -306,7 +304,7 @@ TEST(InstanceCache, MemoizedOrdersMatchAComparatorSortOracle) {
   }
   ASSERT_TRUE(in_start_order(Instance(runs, 2)));
   expect_orders_match_oracle(Instance(runs, 2), "equal-start runs in every order");
-  // The same jobs shuffled, and repeated past the radix threshold.
+  // The same jobs shuffled, and repeated past 256 jobs.
   std::vector<Job> shuffled = runs;
   Rng(11).shuffle(shuffled.begin(), shuffled.end());
   expect_orders_match_oracle(Instance(shuffled, 2), "equal-start runs shuffled");
@@ -314,7 +312,7 @@ TEST(InstanceCache, MemoizedOrdersMatchAComparatorSortOracle) {
   for (int copy = 0; copy < 4; ++copy)
     for (const Job& j : runs) many.emplace_back(j.start() + copy * start, j.completion() + copy * start);
   ASSERT_GE(many.size(), 256u);
-  expect_orders_match_oracle(Instance(many, 2), "equal-start runs, radix size");
+  expect_orders_match_oracle(Instance(many, 2), "equal-start runs, 256 jobs or more");
 
   // A trace, a cancellable trace's base, and the component sub-instances
   // of a view all arrive in start order: the inputs the scan is for.
@@ -342,6 +340,66 @@ TEST(InstanceCache, MemoizedOrdersMatchAComparatorSortOracle) {
       const Instance& sub = view.component_instance(i);
       EXPECT_TRUE(in_start_order(sub));
       expect_orders_match_oracle(sub, "component " + std::to_string(i));
+    }
+  }
+}
+
+// The length order against std::stable_sort by non-increasing length, on
+// both of its paths: the counting pass (max - min length below 4n + 64)
+// and the comparison sort (a wider range).  Ranges sit just inside and
+// just outside the counting rule, over small lengths and from 2^31 up;
+// equal lengths, or only two distinct ones, leave the ties to the id.
+TEST(InstanceCache, LengthOrderMatchesAStableSortOnEveryPath) {
+  const auto stable_order = [](const Instance& inst) {
+    std::vector<JobId> ids(inst.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    std::stable_sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+      return inst.job(a).length() > inst.job(b).length();
+    });
+    return ids;
+  };
+  // n jobs with lengths in [lo, lo + range], both ends taken (for n >= 2),
+  // or only those two ends when `two_lengths`.
+  const auto jobs_spanning = [](std::size_t n, Time lo, Time range, bool two_lengths,
+                                std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<Job> jobs;
+    for (std::size_t i = 0; i < n; ++i) {
+      Time len = two_lengths ? lo + range * rng.uniform_int(0, 1)
+                             : lo + rng.uniform_int(0, range);
+      if (i == 0) len = lo + range;
+      if (i == n / 2 && n > 1) len = lo;
+      const Time s = rng.uniform_int(-500, 500);
+      jobs.emplace_back(s, s + len);
+    }
+    return jobs;
+  };
+  constexpr Time k2To31 = Time{1} << 31;
+  std::uint64_t seed = 0;
+  for (const std::size_t n : {1, 2, 3, 17, 255, 256, 257, 1000, 5000}) {
+    const Time rule = 4 * static_cast<Time>(n) + 64;  // counting iff range < rule
+    struct Case {
+      Time lo;
+      Time range;
+      const char* what;
+    };
+    std::vector<Case> cases = {{1, 0, "all lengths equal"},
+                               {k2To31 + 5, 0, "all lengths equal, >= 2^31"}};
+    if (n > 1) {
+      cases.push_back({1, rule - 1, "range just inside the counting rule"});
+      cases.push_back({1, rule, "range just outside the counting rule"});
+      cases.push_back({700, rule - 1, "offset range just inside"});
+      cases.push_back({700, rule, "offset range just outside"});
+      cases.push_back({k2To31, rule - 1, ">= 2^31, range just inside"});
+      cases.push_back({k2To31, rule, ">= 2^31, range just outside"});
+      cases.push_back({k2To31 - 3, Time{1} << 33, ">= 2^31, wide range"});
+    }
+    for (const Case& c : cases) {
+      for (const bool two_lengths : {false, true}) {
+        const Instance inst(jobs_spanning(n, c.lo, c.range, two_lengths, ++seed), 3);
+        EXPECT_EQ(inst.ids_by_length_desc(), stable_order(inst))
+            << c.what << (two_lengths ? ", two lengths" : "") << " (n=" << n << ")";
+      }
     }
   }
 }

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "../bench/stats.hpp"
 #include "util/flags.hpp"
@@ -132,6 +136,33 @@ TEST(Flags, ParsesAllForms) {
   EXPECT_EQ(flags.positional()[0], "pos1");
   EXPECT_TRUE(flags.has("n"));
   EXPECT_FALSE(flags.has("m"));
+}
+
+TEST(Flags, RangeCheckedIntegersNameTheFlagAndTheRange) {
+  const char* argv[] = {"prog",    "--n=-5", "--g=4294967297", "--k=12",
+                        "--x=3.5", "--e=",   "--big=99999999999999999999"};
+  Flags flags(7, const_cast<char**>(argv));
+  EXPECT_EQ(flags.get_int_in("k", 0, 0, 100), 12);
+  EXPECT_EQ(flags.get_int_in("k", 0, 12, 12), 12);  // both bounds are inclusive
+  EXPECT_EQ(flags.get_int_in("missing", 7, 0, 5), 7);  // the fallback is not checked
+  const auto error_of = [&](const std::string& name, std::int64_t lo, std::int64_t hi) {
+    try {
+      flags.get_int_in(name, 0, lo, hi);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  constexpr std::int64_t kIntMax = 2147483647;
+  EXPECT_EQ(error_of("n", 0, kIntMax), "--n must be an integer in [0, 2147483647], got '-5'");
+  EXPECT_EQ(error_of("g", 1, kIntMax),
+            "--g must be an integer in [1, 2147483647], got '4294967297'");
+  EXPECT_EQ(error_of("k", 13, 20), "--k must be an integer in [13, 20], got '12'");
+  EXPECT_EQ(error_of("x", 0, 10), "--x must be an integer in [0, 10], got '3.5'");
+  EXPECT_EQ(error_of("e", 0, 10), "--e must be an integer in [0, 10], got ''");
+  EXPECT_EQ(error_of("big", 0, std::numeric_limits<std::int64_t>::max()),
+            "--big must be an integer in [0, 9223372036854775807], got "
+            "'99999999999999999999'");
 }
 
 }  // namespace
